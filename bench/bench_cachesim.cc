@@ -4,15 +4,10 @@
 /// functions, so their cost bounds the wall-clock time of the whole bench
 /// suite. Patterns: hit-dominated (the steady state of a cache-resident
 /// working set), miss-dominated (streaming, constant dirty evictions),
-/// flush-heavy (persist-style write+flush pairs), and an 8-thread
-/// contended run over one shared cache (bank-lock striping).
-///
-/// Each single-threaded pattern runs in both concurrency modes so the
-/// perf dashboard tracks them side by side: `owner` (thread-confined,
-/// zero-synchronization — what every benchmark cell uses) and `shared`
-/// (bank locks + atomic counters — what multi-threaded users get). The
-/// contended pattern is shared-mode only: owner mode forbids concurrent
-/// access by contract.
+/// flush-heavy (persist-style write+flush pairs), the set probe in
+/// isolation (SIMD vs scalar), and the device and WAL paths wrapped
+/// around the cache. Every case is single-threaded, like every user of a
+/// CacheSim/NvmDevice.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -29,22 +24,19 @@ namespace {
 
 using nvmdb::CacheConfig;
 using nvmdb::CacheSim;
-using nvmdb::ConcurrencyMode;
 using nvmdb::NvmDevice;
 using nvmdb::NvmLatencyConfig;
 
-CacheConfig BenchCacheConfig(ConcurrencyMode mode) {
+CacheConfig BenchCacheConfig() {
   CacheConfig cfg;
   cfg.capacity_bytes = 1024 * 1024;  // the benchmark suite's scaled cache
   cfg.line_size = 64;
   cfg.associativity = 16;
-  cfg.num_banks = 16;
-  cfg.mode = mode;
   return cfg;
 }
 
-void BM_HitDominated(benchmark::State& state, ConcurrencyMode mode) {
-  CacheSim cache(BenchCacheConfig(mode), {});
+void BM_HitDominated(benchmark::State& state) {
+  CacheSim cache(BenchCacheConfig(), {});
   constexpr uint64_t kWorkingSet = 512 * 1024;  // fits: every access hits
   for (uint64_t a = 0; a < kWorkingSet; a += 64) cache.Access(a, 8, false);
   uint64_t addr = 0;
@@ -58,8 +50,8 @@ void BM_HitDominated(benchmark::State& state, ConcurrencyMode mode) {
       static_cast<double>(cache.hits() + cache.misses());
 }
 
-void BM_MissDominated(benchmark::State& state, ConcurrencyMode mode) {
-  CacheSim cache(BenchCacheConfig(mode), {});
+void BM_MissDominated(benchmark::State& state) {
+  CacheSim cache(BenchCacheConfig(), {});
   constexpr uint64_t kStream = 64ull * 1024 * 1024;  // 64x the cache
   uint64_t addr = 0;
   for (auto _ : state) {
@@ -69,8 +61,8 @@ void BM_MissDominated(benchmark::State& state, ConcurrencyMode mode) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_FlushHeavy(benchmark::State& state, ConcurrencyMode mode) {
-  CacheSim cache(BenchCacheConfig(mode), {});
+void BM_FlushHeavy(benchmark::State& state) {
+  CacheSim cache(BenchCacheConfig(), {});
   constexpr uint64_t kRegion = 1024 * 1024;
   uint64_t addr = 0;
   for (auto _ : state) {
@@ -87,7 +79,7 @@ void BM_FlushHeavy(benchmark::State& state, ConcurrencyMode mode) {
 /// scalar loop, per the `scalar` flag) plus the LRU bump. The working set
 /// walks all ways of all sets, so probes land at every way index.
 void BM_ProbeHit(benchmark::State& state, bool scalar) {
-  CacheConfig cfg = BenchCacheConfig(ConcurrencyMode::kOwner);
+  CacheConfig cfg = BenchCacheConfig();
   cfg.force_scalar_probe = scalar;
   CacheSim cache(cfg, {});
   // Fill the whole cache so hits occur in every way, not just way 0.
@@ -110,7 +102,7 @@ void BM_ProbeHit(benchmark::State& state, bool scalar) {
 /// min-reduction over the LRU stamps or the scalar loop) and the dirty
 /// write-back of the evicted line.
 void BM_ProbeMiss(benchmark::State& state, bool scalar) {
-  CacheConfig cfg = BenchCacheConfig(ConcurrencyMode::kOwner);
+  CacheConfig cfg = BenchCacheConfig();
   cfg.force_scalar_probe = scalar;
   CacheSim cache(cfg, {});
   constexpr uint64_t kStream = 64ull * 1024 * 1024;
@@ -125,8 +117,8 @@ void BM_ProbeMiss(benchmark::State& state, bool scalar) {
 /// Multi-line flush probe: persist-sized dirty ranges flushed without
 /// invalidation (the CLWB regime every engine commit takes), four lines
 /// per call so the FlushRange loop dominates over call overhead.
-void BM_FlushRange(benchmark::State& state, ConcurrencyMode mode) {
-  CacheSim cache(BenchCacheConfig(mode), {});
+void BM_FlushRange(benchmark::State& state) {
+  CacheSim cache(BenchCacheConfig(), {});
   constexpr uint64_t kRegion = 1024 * 1024;
   constexpr size_t kSpan = 256;  // 4 lines
   uint64_t addr = 0;
@@ -139,33 +131,12 @@ void BM_FlushRange(benchmark::State& state, ConcurrencyMode mode) {
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_Contended(benchmark::State& state) {
-  static CacheSim* shared = nullptr;
-  if (state.thread_index() == 0) {
-    shared = new CacheSim(BenchCacheConfig(ConcurrencyMode::kShared), {});
-  }
-  // benchmark synchronizes threads at loop entry, so `shared` is visible.
-  constexpr uint64_t kPerThread = 4 * 1024 * 1024;
-  uint64_t addr =
-      static_cast<uint64_t>(state.thread_index()) * kPerThread;
-  const uint64_t base = addr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(shared->Access(addr, 8, (addr & 64) != 0));
-    addr = base + ((addr - base + 64) & (kPerThread - 1));
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    delete shared;
-    shared = nullptr;
-  }
-}
-
 /// End-to-end device path: the instrumented Write + Persist pair the
 /// engines issue per durable update, including the simulated-clock
 /// accounting (one accumulation per call on the fast path).
-void BM_DeviceWritePersist(benchmark::State& state, ConcurrencyMode mode) {
+void BM_DeviceWritePersist(benchmark::State& state) {
   NvmDevice device(16 * 1024 * 1024, NvmLatencyConfig::Dram(),
-                   BenchCacheConfig(mode));
+                   BenchCacheConfig());
   uint64_t offset = 0;
   uint64_t value = 0;
   for (auto _ : state) {
@@ -180,11 +151,11 @@ void BM_DeviceWritePersist(benchmark::State& state, ConcurrencyMode mode) {
       static_cast<double>(state.iterations());
 }
 
-/// Owner mode's headline case: the header-inlined resident-hit Touch path
-/// (what every engine read of a cached tuple/node costs).
-void BM_DeviceTouchHit(benchmark::State& state, ConcurrencyMode mode) {
+/// The header-inlined resident-hit Touch path (what every engine read of
+/// a cached tuple/node costs).
+void BM_DeviceTouchHit(benchmark::State& state) {
   NvmDevice device(16 * 1024 * 1024, NvmLatencyConfig::Dram(),
-                   BenchCacheConfig(mode));
+                   BenchCacheConfig());
   constexpr uint64_t kWorkingSet = 512 * 1024;  // resident
   for (uint64_t a = 0; a < kWorkingSet; a += 64) {
     device.TouchRead(device.PtrAt(a), 8);
@@ -201,9 +172,9 @@ void BM_DeviceTouchHit(benchmark::State& state, ConcurrencyMode mode) {
 /// (header reserve + backpatch) into the WAL's reused buffer, Slices
 /// viewing caller scratch — the per-update logging cost of the InP/Log
 /// engines, group-commit flush included at the benchmark cadence.
-void BM_WalAppend(benchmark::State& state, ConcurrencyMode mode) {
+void BM_WalAppend(benchmark::State& state) {
   NvmDevice device(64 * 1024 * 1024, NvmLatencyConfig::Dram(),
-                   BenchCacheConfig(mode));
+                   BenchCacheConfig());
   nvmdb::PmemAllocator allocator(&device);
   nvmdb::Pmfs fs(&allocator);
   nvmdb::Wal wal(&fs, "bench.wal", /*group_commit_size=*/4);
@@ -264,25 +235,17 @@ void BM_TupleRoundtrip(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 
-BENCHMARK_CAPTURE(BM_HitDominated, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_HitDominated, shared, ConcurrencyMode::kShared);
-BENCHMARK_CAPTURE(BM_MissDominated, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_MissDominated, shared, ConcurrencyMode::kShared);
-BENCHMARK_CAPTURE(BM_FlushHeavy, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_FlushHeavy, shared, ConcurrencyMode::kShared);
+BENCHMARK(BM_HitDominated);
+BENCHMARK(BM_MissDominated);
+BENCHMARK(BM_FlushHeavy);
 BENCHMARK_CAPTURE(BM_ProbeHit, simd, /*scalar=*/false);
 BENCHMARK_CAPTURE(BM_ProbeHit, scalar, /*scalar=*/true);
 BENCHMARK_CAPTURE(BM_ProbeMiss, simd, /*scalar=*/false);
 BENCHMARK_CAPTURE(BM_ProbeMiss, scalar, /*scalar=*/true);
-BENCHMARK_CAPTURE(BM_FlushRange, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_FlushRange, shared, ConcurrencyMode::kShared);
-BENCHMARK(BM_Contended)->Threads(8)->UseRealTime();
-BENCHMARK_CAPTURE(BM_DeviceWritePersist, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_DeviceWritePersist, shared, ConcurrencyMode::kShared);
-BENCHMARK_CAPTURE(BM_DeviceTouchHit, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_DeviceTouchHit, shared, ConcurrencyMode::kShared);
-BENCHMARK_CAPTURE(BM_WalAppend, owner, ConcurrencyMode::kOwner);
-BENCHMARK_CAPTURE(BM_WalAppend, shared, ConcurrencyMode::kShared);
+BENCHMARK(BM_FlushRange);
+BENCHMARK(BM_DeviceWritePersist);
+BENCHMARK(BM_DeviceTouchHit);
+BENCHMARK(BM_WalAppend);
 BENCHMARK(BM_TupleRoundtrip);
 
 }  // namespace

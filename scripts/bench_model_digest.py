@@ -3,12 +3,14 @@
 
 The simulator guarantees that its *model* output — commit counts,
 simulated nanoseconds, derived throughput metrics — is bit-identical
-across concurrency modes (owner vs shared), job counts, and host speeds;
-only wall-clock fields may differ. This script projects a directory of
-BENCH_<name>.json reports onto exactly the model fields and prints a
-canonical JSON digest, so CI can run the same benchmarks twice (e.g.
-default owner mode vs NVMDB_SHARED_CACHE=1) and `diff` the two digests:
-any non-empty diff is a model divergence and fails the job.
+across probe implementations (SIMD vs scalar), job counts, and host
+speeds; only wall-clock fields may differ. This script projects a
+directory of BENCH_<name>.json reports onto exactly the model fields and
+prints a canonical JSON digest. CI diffs the digest of the tiny-scale
+grid against the committed golden file bench/golden/model_digest_tiny.json:
+any non-empty diff is a model divergence and fails the job. An intended
+model change regenerates that file with this script and gives the reason
+in CHANGES.md.
 
 Excluded as host-dependent: jobs, wall_ns, load_ns, run_ns,
 sim_wall_ratio, total_wall_ns, total_sim_wall_ratio.
@@ -17,7 +19,7 @@ Everything else is model output and *stays in the digest* — notably the
 per-cell "latency" object (histogram-derived response-time percentiles
 on the simulated clock; integer bucket lower bounds) and the "stalls"
 object (per-component stall attribution in integer nanoseconds). Both
-are bit-identical across owner/shared modes and job counts by
+are bit-identical across probe implementations and job counts by
 construction, so a divergence in either fails the CI diff just like a
 counter drift would.
 

@@ -9,7 +9,7 @@ namespace nvmdb {
 /// Response-latency summary on the simulated clock, produced from a
 /// LatencyHistogram. All percentile fields are bucket lower bounds, so
 /// they are exact integers and bit-identical wherever the recorded
-/// values are (owner vs shared mode, any job count).
+/// values are (SIMD vs scalar probe, any job count).
 struct LatencySummary {
   uint64_t count = 0;
   double mean_ns = 0;

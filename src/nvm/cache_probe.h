@@ -33,9 +33,8 @@ namespace nvmdb {
 
 /// Which probe implementation a CacheSim instance runs. Resolved once at
 /// construction (see ResolveProbeKind in cache_sim.cc): compile-time
-/// -DNVMDB_FORCE_SCALAR_PROBE, the NVMDB_FORCE_SCALAR_PROBE environment
-/// variable, or CacheConfig::force_scalar_probe pin kScalar; otherwise the
-/// best instruction set the CPU supports wins.
+/// -DNVMDB_FORCE_SCALAR_PROBE or CacheConfig::force_scalar_probe pin
+/// kScalar; otherwise the best instruction set the CPU supports wins.
 enum class ProbeKind : uint8_t {
   kScalar = 0,  // portable reference loop (also the forced fallback)
   kSse2 = 1,    // x86-64 baseline: no target attribute, header-inlinable

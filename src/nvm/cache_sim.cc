@@ -16,12 +16,6 @@ size_t CeilPow2(size_t x) {
   return p;
 }
 
-size_t FloorPow2(size_t x) {
-  size_t p = 1;
-  while (p * 2 <= x) p <<= 1;
-  return p;
-}
-
 unsigned Log2(size_t pow2) {
   unsigned s = 0;
   while ((size_t{1} << s) < pow2) s++;
@@ -29,16 +23,6 @@ unsigned Log2(size_t pow2) {
 }
 
 }  // namespace
-
-ConcurrencyMode ResolveConcurrencyMode(ConcurrencyMode requested) {
-  // Read fresh (not cached in a static): instances are constructed off
-  // the hot path, and tests toggle the variable around constructions.
-  const char* v = std::getenv("NVMDB_SHARED_CACHE");
-  if (v != nullptr && *v != '\0' && *v != '0') {
-    return ConcurrencyMode::kShared;
-  }
-  return requested;
-}
 
 ProbeKind ResolveProbeKind(bool force_scalar) {
 #if defined(NVMDB_FORCE_SCALAR_PROBE)
@@ -48,8 +32,6 @@ ProbeKind ResolveProbeKind(bool force_scalar) {
   return ProbeKind::kScalar;
 #else
   if (force_scalar) return ProbeKind::kScalar;
-  const char* v = std::getenv("NVMDB_FORCE_SCALAR_PROBE");
-  if (v != nullptr && *v != '\0' && *v != '0') return ProbeKind::kScalar;
 #if NVMDB_PROBE_X86
 #if defined(NVMDB_HAVE_AVX2_PROBE) && defined(__GNUC__)
   // Same runtime-dispatch pattern as the CRC32C implementation: detect
@@ -65,8 +47,7 @@ ProbeKind ResolveProbeKind(bool force_scalar) {
 }
 
 CacheSim::CacheSim(const CacheConfig& config, CacheCallbacks callbacks)
-    : mode_(ResolveConcurrencyMode(config.mode)),
-      probe_kind_(ResolveProbeKind(config.force_scalar_probe)),
+    : probe_kind_(ResolveProbeKind(config.force_scalar_probe)),
       scalar_probe_(probe_kind_ == ProbeKind::kScalar),
       callbacks_(callbacks) {
   line_size_ = CeilPow2(std::max<size_t>(1, config.line_size));
@@ -76,14 +57,8 @@ CacheSim::CacheSim(const CacheConfig& config, CacheCallbacks callbacks)
       std::max(associativity_, config.capacity_bytes / line_size_);
   const size_t num_sets =
       CeilPow2(std::max<size_t>(1, num_lines / associativity_));
-  num_banks_ =
-      std::min(FloorPow2(std::max<size_t>(1, config.num_banks)), num_sets);
-  sets_per_bank_ = num_sets / num_banks_;
-  bank_mask_ = num_banks_ - 1;
-  bank_shift_ = Log2(num_banks_);
-  set_mask_ = sets_per_bank_ - 1;
+  set_mask_ = num_sets - 1;
 
-  banks_ = std::vector<Bank>(num_banks_);
   entries_.assign(num_sets * associativity_, kInvalidEntry);
   stamps_.assign(num_sets * associativity_, 0);
 }
@@ -91,9 +66,9 @@ CacheSim::CacheSim(const CacheConfig& config, CacheCallbacks callbacks)
 #if NVMDB_OWNER_CHECKS
 void CacheSim::OwnerViolation() {
   std::fprintf(stderr,
-               "CacheSim owner-mode violation: instance accessed from a "
-               "second thread; construct with ConcurrencyMode::kShared "
-               "(or set NVMDB_SHARED_CACHE=1) for multi-threaded use\n");
+               "CacheSim owner-thread violation: instance accessed from a "
+               "second thread; a CacheSim (and the NvmDevice or Database "
+               "around it) must be driven by one thread only\n");
   std::abort();
 }
 #endif
@@ -110,16 +85,13 @@ void CacheSim::StreamCheckViolation() {
 
 // The scalar and SSE2 kinds live in this translation unit; the AVX2 kind
 // is instantiated only in cache_sim_avx2.cc (built with -mavx2) and
-// surfaced here through explicit instantiation declarations.
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kOwner, ProbeKind::kScalar);
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kShared, ProbeKind::kScalar);
+// surfaced here through an explicit instantiation declaration.
+NVMDB_CACHE_SIM_INSTANTIATE(ProbeKind::kScalar);
 #if NVMDB_PROBE_X86
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kOwner, ProbeKind::kSse2);
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kShared, ProbeKind::kSse2);
+NVMDB_CACHE_SIM_INSTANTIATE(ProbeKind::kSse2);
 #endif
 #if defined(NVMDB_HAVE_AVX2_PROBE)
-NVMDB_CACHE_SIM_DECLARE(ConcurrencyMode::kOwner, ProbeKind::kAvx2);
-NVMDB_CACHE_SIM_DECLARE(ConcurrencyMode::kShared, ProbeKind::kAvx2);
+NVMDB_CACHE_SIM_DECLARE(ProbeKind::kAvx2);
 #endif
 
 // Per-call dispatch: one switch on the construction-resolved probe kind
@@ -127,39 +99,34 @@ NVMDB_CACHE_SIM_DECLARE(ConcurrencyMode::kShared, ProbeKind::kAvx2);
 // inner-loop instantiation; kinds the build lacks fall through to scalar,
 // which ResolveProbeKind then never selects anyway.
 #if defined(NVMDB_HAVE_AVX2_PROBE)
-#define NVMDB_AVX2_CASE(IMPL, M, ...) \
-  case ProbeKind::kAvx2:              \
-    return IMPL<M, ProbeKind::kAvx2>(__VA_ARGS__);
+#define NVMDB_AVX2_CASE(IMPL, ...) \
+  case ProbeKind::kAvx2:           \
+    return IMPL<ProbeKind::kAvx2>(__VA_ARGS__);
 #else
-#define NVMDB_AVX2_CASE(IMPL, M, ...)
+#define NVMDB_AVX2_CASE(IMPL, ...)
 #endif
 #if NVMDB_PROBE_X86
-#define NVMDB_SSE2_CASE(IMPL, M, ...) \
-  case ProbeKind::kSse2:              \
-    return IMPL<M, ProbeKind::kSse2>(__VA_ARGS__);
+#define NVMDB_SSE2_CASE(IMPL, ...) \
+  case ProbeKind::kSse2:           \
+    return IMPL<ProbeKind::kSse2>(__VA_ARGS__);
 #else
-#define NVMDB_SSE2_CASE(IMPL, M, ...)
+#define NVMDB_SSE2_CASE(IMPL, ...)
 #endif
-#define NVMDB_PROBE_DISPATCH(IMPL, M, ...)              \
-  switch (probe_kind_) {                                \
-    NVMDB_AVX2_CASE(IMPL, M, __VA_ARGS__)               \
-    NVMDB_SSE2_CASE(IMPL, M, __VA_ARGS__)               \
-    default:                                            \
-      return IMPL<M, ProbeKind::kScalar>(__VA_ARGS__);  \
+#define NVMDB_PROBE_DISPATCH(IMPL, ...)              \
+  switch (probe_kind_) {                             \
+    NVMDB_AVX2_CASE(IMPL, __VA_ARGS__)               \
+    NVMDB_SSE2_CASE(IMPL, __VA_ARGS__)               \
+    default:                                         \
+      return IMPL<ProbeKind::kScalar>(__VA_ARGS__);  \
   }
 
 CacheAccessResult CacheSim::AccessEx(uint64_t addr, size_t size,
                                      bool is_write) {
   if (size == 0) return CacheAccessResult{};
-  if (mode_ == ConcurrencyMode::kOwner) {
 #if NVMDB_OWNER_CHECKS
-    CheckOwner();
+  CheckOwner();
 #endif
-    NVMDB_PROBE_DISPATCH(AccessExImpl, ConcurrencyMode::kOwner, addr, size,
-                         is_write)
-  }
-  NVMDB_PROBE_DISPATCH(AccessExImpl, ConcurrencyMode::kShared, addr, size,
-                       is_write)
+  NVMDB_PROBE_DISPATCH(AccessExImpl, addr, size, is_write)
 }
 
 CacheAccessResult CacheSim::AccessSegments(uint64_t addr,
@@ -167,118 +134,47 @@ CacheAccessResult CacheSim::AccessSegments(uint64_t addr,
                                            size_t num_segments,
                                            bool is_write) {
   if (num_segments == 0) return CacheAccessResult{};
-  if (mode_ == ConcurrencyMode::kOwner) {
 #if NVMDB_OWNER_CHECKS
-    CheckOwner();
+  CheckOwner();
 #endif
-    NVMDB_PROBE_DISPATCH(AccessSegmentsImpl, ConcurrencyMode::kOwner, addr,
-                         lens, num_segments, is_write)
-  }
-  NVMDB_PROBE_DISPATCH(AccessSegmentsImpl, ConcurrencyMode::kShared, addr,
-                       lens, num_segments, is_write)
+  NVMDB_PROBE_DISPATCH(AccessSegmentsImpl, addr, lens, num_segments,
+                       is_write)
 }
 
 size_t CacheSim::FlushRange(uint64_t addr, size_t size, bool invalidate) {
   if (size == 0) return 0;
-  if (mode_ == ConcurrencyMode::kOwner) {
 #if NVMDB_OWNER_CHECKS
-    CheckOwner();
+  CheckOwner();
 #endif
-    NVMDB_PROBE_DISPATCH(FlushRangeImpl, ConcurrencyMode::kOwner, addr,
-                         size, invalidate)
-  }
-  NVMDB_PROBE_DISPATCH(FlushRangeImpl, ConcurrencyMode::kShared, addr,
-                       size, invalidate)
+  NVMDB_PROBE_DISPATCH(FlushRangeImpl, addr, size, invalidate)
 }
 
-template <ConcurrencyMode M>
-size_t CacheSim::WriteBackAllImpl() {
+size_t CacheSim::WriteBackAll() {
+#if NVMDB_OWNER_CHECKS
+  CheckOwner();
+#endif
   size_t flushed = 0;
-  const size_t per_bank = sets_per_bank_ * associativity_;
-  for (size_t b = 0; b < num_banks_; b++) {
-    Bank& bank = banks_[b];
-    cache_detail::BankGuard<M> guard(bank.mu);
-    uint64_t* const ways = &entries_[b * per_bank];
-    for (size_t i = 0; i < per_bank; i++) {
-      const uint64_t e = ways[i];
-      if (e != kInvalidEntry && (e & 1)) {
-        flushed++;
-        bank.write_backs++;
-        if (callbacks_.write_back) {
-          callbacks_.write_back(callbacks_.ctx, (e >> 1) << line_shift_,
-                                line_size_);
-        }
-        ways[i] = e & ~uint64_t{1};
+  for (uint64_t& e : entries_) {
+    if (e != kInvalidEntry && (e & 1)) {
+      flushed++;
+      write_backs_++;
+      if (callbacks_.write_back) {
+        callbacks_.write_back(callbacks_.ctx, (e >> 1) << line_shift_,
+                              line_size_);
       }
+      e &= ~uint64_t{1};
     }
   }
   return flushed;
 }
 
-size_t CacheSim::WriteBackAll() {
-  if (mode_ == ConcurrencyMode::kOwner) {
-#if NVMDB_OWNER_CHECKS
-    CheckOwner();
-#endif
-    return WriteBackAllImpl<ConcurrencyMode::kOwner>();
-  }
-  return WriteBackAllImpl<ConcurrencyMode::kShared>();
-}
-
 void CacheSim::DropDirty() {
 #if NVMDB_OWNER_CHECKS
-  if (mode_ == ConcurrencyMode::kOwner) CheckOwner();
+  CheckOwner();
 #endif
-  const size_t per_bank = sets_per_bank_ * associativity_;
-  for (size_t b = 0; b < num_banks_; b++) {
-    Bank& bank = banks_[b];
-    cache_detail::BankGuard<ConcurrencyMode::kShared> guard(bank.mu);
-    std::fill_n(entries_.begin() + b * per_bank, per_bank, kInvalidEntry);
-    std::fill_n(stamps_.begin() + b * per_bank, per_bank, uint64_t{0});
-    bank.lru_clock = 0;
-  }
-}
-
-uint64_t CacheSim::hits() const {
-  uint64_t total = 0;
-  const bool lock = mode_ == ConcurrencyMode::kShared;
-  for (const Bank& bank : banks_) {
-    if (lock) {
-      std::lock_guard<std::mutex> guard(const_cast<Bank&>(bank).mu);
-      total += bank.hits;
-    } else {
-      total += bank.hits;
-    }
-  }
-  return total;
-}
-
-uint64_t CacheSim::misses() const {
-  uint64_t total = 0;
-  const bool lock = mode_ == ConcurrencyMode::kShared;
-  for (const Bank& bank : banks_) {
-    if (lock) {
-      std::lock_guard<std::mutex> guard(const_cast<Bank&>(bank).mu);
-      total += bank.misses;
-    } else {
-      total += bank.misses;
-    }
-  }
-  return total;
-}
-
-uint64_t CacheSim::write_backs() const {
-  uint64_t total = 0;
-  const bool lock = mode_ == ConcurrencyMode::kShared;
-  for (const Bank& bank : banks_) {
-    if (lock) {
-      std::lock_guard<std::mutex> guard(const_cast<Bank&>(bank).mu);
-      total += bank.write_backs;
-    } else {
-      total += bank.write_backs;
-    }
-  }
-  return total;
+  std::fill(entries_.begin(), entries_.end(), kInvalidEntry);
+  std::fill(stamps_.begin(), stamps_.end(), uint64_t{0});
+  lru_clock_ = 0;
 }
 
 }  // namespace nvmdb

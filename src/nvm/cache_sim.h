@@ -2,15 +2,14 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "nvm/cache_probe.h"
 
-/// Debug-build owner checks: in kOwner mode the cache records the first
-/// accessing thread and aborts on any access from another thread, making
-/// silent cross-thread use of a zero-synchronization cache impossible.
+/// Debug-build owner checks: the cache records the first accessing thread
+/// and aborts on any access from another thread, making silent
+/// cross-thread use of the zero-synchronization cache impossible.
 /// Compiled out under NDEBUG (the hot path must stay branch-free in
 /// release builds); define NVMDB_FORCE_OWNER_CHECKS to keep them in an
 /// optimized build (the sanitizer CI job does).
@@ -35,66 +34,32 @@
 
 namespace nvmdb {
 
-/// Synchronization discipline of a CacheSim / NvmDevice instance.
-///
-/// Since the benchmark-grid scheduler made every cell strictly
-/// thread-confined (one cell = one pool thread, Coordinator::Run
-/// single-threaded), the per-access bank mutex and atomic counter adds
-/// pay for contention that cannot occur on those paths. kOwner removes
-/// them: the hot loop takes no locks and counts with plain increments.
-/// The model itself is identical in both modes — same hit/miss/write-back
-/// sequences, same counters (the golden-model and determinism tests
-/// assert this); only the synchronization around it differs.
-enum class ConcurrencyMode : uint8_t {
-  /// Exactly one thread ever accesses the instance (thread-confined
-  /// benchmark cells, single-threaded tests). Zero synchronization on the
-  /// access path; debug builds assert the confinement.
-  kOwner,
-  /// Multiple threads may access concurrently: per-bank lock striping,
-  /// exact counters under the bank locks (the pre-existing behavior).
-  kShared,
-};
-
-/// Effective mode for an instance requesting `requested`:
-/// NVMDB_SHARED_CACHE=1 in the environment forces kShared everywhere (a
-/// debugging escape hatch, e.g. to rule the owner fast path out of a
-/// miscounting suspicion). Consulted at construction time only.
-ConcurrencyMode ResolveConcurrencyMode(ConcurrencyMode requested);
-
 /// Configuration for the simulated CPU cache in front of NVM.
 /// Defaults model the L3 of the paper's Intel Xeon E5-4620 testbed
 /// (20 MB, 64 B lines).
 ///
 /// Geometry is normalized at construction so the hot-path address→slot
-/// mapping is pure shift+mask: `line_size` and the total set count are
-/// rounded up to powers of two, and the bank count is rounded down to a
-/// power of two (never exceeding the requested striping). Configurations
-/// whose derived geometry is already power-of-two — every benchmark and
-/// test config in this repo — are unaffected; the 20 MB default rounds up
-/// to an effective 32 MB.
+/// mapping is pure shift+mask: `line_size` and the set count are rounded
+/// up to powers of two. Configurations whose derived geometry is already
+/// power-of-two — every benchmark and test config in this repo — are
+/// unaffected; the 20 MB default rounds up to an effective 32 MB.
 struct CacheConfig {
   size_t capacity_bytes = 20ull * 1024 * 1024;
   size_t line_size = 64;
   size_t associativity = 16;
-  size_t num_banks = 16;  // lock striping (used by kShared only)
-  /// kOwner is the repo-wide default: every database/device is built and
-  /// driven on one thread (see ConcurrencyMode). Multi-threaded users of
-  /// a *single* instance must select kShared explicitly.
-  ConcurrencyMode mode = ConcurrencyMode::kOwner;
   /// Pin the portable scalar set probe regardless of what the CPU
-  /// supports (the NVMDB_FORCE_SCALAR_PROBE environment variable and the
-  /// compile-time define of the same name do the same thing; see
-  /// ResolveProbeKind). The model is identical either way — this exists
-  /// so tests and benchmarks can compare the implementations.
+  /// supports (the compile-time define NVMDB_FORCE_SCALAR_PROBE does the
+  /// same for a whole build; see ResolveProbeKind). The model is identical
+  /// either way — this exists so tests and benchmarks can compare the
+  /// implementations.
   bool force_scalar_probe = false;
 };
 
 /// Effective probe implementation for an instance requesting
-/// `force_scalar`: a compile-time -DNVMDB_FORCE_SCALAR_PROBE, the
-/// NVMDB_FORCE_SCALAR_PROBE environment variable, or the config flag pin
-/// the scalar loop; otherwise the best instruction set this CPU supports
-/// (AVX2 when the binary carries the -mavx2 translation unit, else SSE2 on
-/// x86-64, else scalar). Consulted at construction time only.
+/// `force_scalar`: a compile-time -DNVMDB_FORCE_SCALAR_PROBE or the config
+/// flag pin the scalar loop; otherwise the best instruction set this CPU
+/// supports (AVX2 when the binary carries the -mavx2 translation unit,
+/// else SSE2 on x86-64, else scalar). Consulted at construction time only.
 ProbeKind ResolveProbeKind(bool force_scalar);
 
 /// Events the cache raises toward the owning device. Raw function
@@ -138,23 +103,19 @@ struct CacheAccessResult {
 ///
 /// Line metadata lives in one flat contiguous array of packed 8-byte
 /// entries (line index + dirty bit) with a parallel LRU-stamp array,
-/// indexed [bank][set][way]; no per-set or per-way heap nodes exist, so a
-/// set probe is a short linear scan over adjacent memory.
+/// indexed [set][way]; no per-set or per-way heap nodes exist, so a set
+/// probe is a short linear scan over adjacent memory.
 ///
-/// Synchronization is selected at construction (ConcurrencyMode): the
-/// public entry points dispatch once per call into an inner loop
-/// instantiated for the chosen mode, so kOwner pays neither locks nor a
-/// per-line mode branch.
+/// An instance is thread-confined: exactly one thread ever accesses it
+/// (every benchmark cell and every Database is driven on one thread), so
+/// the access path takes no locks and counts with plain increments.
+/// Debug builds assert the confinement (NVMDB_OWNER_CHECKS).
 class CacheSim {
  public:
-  /// True when cross-thread owner-mode accesses abort (debug builds).
+  /// True when cross-thread accesses abort (debug builds).
   static constexpr bool kOwnerChecksEnabled = NVMDB_OWNER_CHECKS != 0;
 
   CacheSim(const CacheConfig& config, CacheCallbacks callbacks);
-
-  /// Mode the instance actually runs in (after the NVMDB_SHARED_CACHE
-  /// override).
-  ConcurrencyMode mode() const { return mode_; }
 
   /// Touch [addr, addr+size). Write hits mark lines dirty; write misses
   /// allocate. Returns per-call miss and write-back counts.
@@ -180,32 +141,27 @@ class CacheSim {
   CacheAccessResult AccessSegments(uint64_t addr, const uint32_t* lens,
                                    size_t num_segments, bool is_write);
 
-  /// Owner-mode fast path, safe to inline at call sites: if [addr,
-  /// addr+size) lies within one cache line AND that line is resident,
-  /// perform the hit (LRU stamp, dirty marking, hit counter) and return
-  /// true. Returns false — having changed nothing — when the access spans
-  /// lines or misses; the caller then takes the out-of-line AccessEx
-  /// path. Must only be called on kOwner instances (single-line hits are
-  /// the overwhelmingly common case on the engines' instrumented paths,
-  /// and this skips the call + dispatch + result plumbing for them).
+  /// Fast path, safe to inline at call sites: if [addr, addr+size) lies
+  /// within one cache line AND that line is resident, perform the hit
+  /// (LRU stamp, dirty marking, hit counter) and return true. Returns
+  /// false — having changed nothing — when the access spans lines or
+  /// misses; the caller then takes the out-of-line AccessEx path
+  /// (single-line hits are the overwhelmingly common case on the engines'
+  /// instrumented paths, and this skips the call + dispatch + result
+  /// plumbing for them).
   bool OwnerHitFast(uint64_t addr, size_t size, bool is_write) {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return false;
 #if NVMDB_OWNER_CHECKS
     CheckOwner();
 #endif
-    const uint64_t h = MixLineIndex(idx);
-    const size_t bank_idx = h & bank_mask_;
-    const size_t set_idx = (h >> bank_shift_) & set_mask_;
-    const size_t base =
-        (bank_idx * sets_per_bank_ + set_idx) * associativity_;
+    const size_t base = SetOf(idx) * associativity_;
     uint64_t* const ways = &entries_[base];
     const int w = FindWayInline(ways, idx << 1);
     if (w < 0) return false;
-    Bank& bank = banks_[bank_idx];
-    stamps_[base + static_cast<size_t>(w)] = ++bank.lru_clock;
+    stamps_[base + static_cast<size_t>(w)] = ++lru_clock_;
     if (is_write) ways[w] |= 1;
-    bank.hits++;
+    hits_++;
     return true;
   }
 
@@ -215,30 +171,25 @@ class CacheSim {
   /// Returns the number of lines actually written back.
   size_t FlushRange(uint64_t addr, size_t size, bool invalidate);
 
-  /// Owner-mode fast path for FlushRange, safe to inline at call sites:
-  /// handles a range confined to one cache line (every per-tuple persist
-  /// the engines issue) without the out-of-line call and mode dispatch.
-  /// Returns the number of lines written back (0 or 1), or -1 when the
-  /// range spans lines — the caller then takes FlushRange. Must only be
-  /// called on kOwner instances.
+  /// Inline fast path for FlushRange: handles a range confined to one
+  /// cache line (every per-tuple persist the engines issue) without the
+  /// out-of-line call and probe dispatch. Returns the number of lines
+  /// written back (0 or 1), or -1 when the range spans lines — the caller
+  /// then takes FlushRange.
   int OwnerFlushFast(uint64_t addr, size_t size, bool invalidate) {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return -1;
 #if NVMDB_OWNER_CHECKS
     CheckOwner();
 #endif
-    const uint64_t h = MixLineIndex(idx);
-    const size_t bank_idx = h & bank_mask_;
-    const size_t set_idx = (h >> bank_shift_) & set_mask_;
-    uint64_t* const ways =
-        &entries_[(bank_idx * sets_per_bank_ + set_idx) * associativity_];
+    uint64_t* const ways = &entries_[SetOf(idx) * associativity_];
     const uint64_t match = idx << 1;
     int flushed = 0;
     const int w = FindWayInline(ways, match);
     if (w >= 0) {
       if (ways[w] & 1) {
         flushed = 1;
-        banks_[bank_idx].write_backs++;
+        write_backs_++;
         if (callbacks_.write_back) {
           callbacks_.write_back(callbacks_.ctx, idx << line_shift_,
                                 line_size_);
@@ -257,16 +208,10 @@ class CacheSim {
   /// back — their contents are lost.
   void DropDirty();
 
-  // Statistics are exact in both modes: each bank counts under its own
-  // lock in kShared (no shared atomic contention on the hot path) and
-  // with plain increments in kOwner (only one thread ever touches them);
-  // the getters aggregate across banks, taking each bank's lock in
-  // kShared so concurrent updates are never torn or lost. After all
-  // accessing threads quiesce, hits() + misses() == total lines
-  // accessed, exactly.
-  uint64_t hits() const;
-  uint64_t misses() const;
-  uint64_t write_backs() const;
+  // Exact statistics: hits() + misses() == total lines accessed.
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t write_backs() const { return write_backs_; }
 
   size_t line_size() const { return line_size_; }
 
@@ -281,57 +226,44 @@ class CacheSim {
   // entry because a real line index never has all 63 tag bits set.
   static constexpr uint64_t kInvalidEntry = ~0ull;
 
-  // Per-bank mutable state, cache-line aligned so banks never false-share.
-  struct alignas(64) Bank {
-    std::mutex mu;  // taken in kShared mode only
-    uint64_t lru_clock = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t write_backs = 0;
-  };
-
-  // Mix the line index so adjacent lines spread across banks and sets; a
-  // plain modulo would pathologically collide for strided engine layouts.
-  // The mapping is identical to the seed model's (h % banks, (h / banks)
-  // % sets) whenever banks and sets are powers of two.
-  static uint64_t MixLineIndex(uint64_t line_index) {
+  // Set of a line: mix the line index so adjacent lines spread across
+  // sets (a plain modulo would pathologically collide for strided engine
+  // layouts), then keep the low log2(sets) bits. Two lines share a set
+  // exactly when they did under the seed model's banked (h % banks,
+  // (h / banks) % sets) mapping with power-of-two counts.
+  size_t SetOf(uint64_t line_index) const {
     uint64_t h = line_index * 0x9e3779b97f4a7c15ULL;
     h ^= h >> 29;
-    return h;
+    return h & set_mask_;
   }
 
-  // Inner loops behind the public dispatchers, instantiated per
-  // (concurrency mode, probe kind): kShared takes the bank lock per line
-  // and kOwner compiles it away; the probe kind selects the SIMD width of
-  // the set scans with zero per-line dispatch. Bodies live in
-  // cache_sim_inl.h — included by cache_sim.cc (scalar + SSE2
-  // instantiations) and cache_sim_avx2.cc (AVX2 instantiations, the only
-  // translation unit built with -mavx2).
-  template <ConcurrencyMode M, ProbeKind K>
+  // Inner loops behind the public dispatchers, instantiated per probe
+  // kind, which selects the SIMD width of the set scans with zero
+  // per-line dispatch. Bodies live in cache_sim_inl.h — included by
+  // cache_sim.cc (scalar + SSE2 instantiations) and cache_sim_avx2.cc
+  // (AVX2 instantiations, the only translation unit built with -mavx2).
+  template <ProbeKind K>
   CacheAccessResult AccessExImpl(uint64_t addr, size_t size, bool is_write);
-  template <ConcurrencyMode M, ProbeKind K>
+  template <ProbeKind K>
   CacheAccessResult AccessSegmentsImpl(uint64_t addr, const uint32_t* lens,
                                        size_t num_segments, bool is_write);
-  template <ConcurrencyMode M, ProbeKind K>
+  template <ProbeKind K>
   size_t FlushRangeImpl(uint64_t addr, size_t size, bool invalidate);
-  template <ConcurrencyMode M>
-  size_t WriteBackAllImpl();
 
-  // Touch one line; requires the owning bank's lock in kShared mode.
-  // Returns 1 if the line missed and adds any dirty-victim write-back to
-  // `result`; `*way_out` receives the way the line now occupies (the
-  // segmented walk caches it for boundary-line re-visits). Force-inlined
-  // into the per-line loops: at ~8.5 lines per engine access the call
-  // overhead alone profiled as the single hottest entry in the whole
-  // bench suite, and GCC's size heuristics refuse the inline on their
-  // own. Defined in cache_sim_inl.h.
+  // Touch one line of set `set`. Returns 1 if the line missed and adds
+  // any dirty-victim write-back to `result`; `*way_out` receives the way
+  // the line now occupies (the segmented walk caches it for boundary-line
+  // re-visits). Force-inlined into the per-line loops: at ~8.5 lines per
+  // engine access the call overhead alone profiled as the single hottest
+  // entry in the whole bench suite, and GCC's size heuristics refuse the
+  // inline on their own. Defined in cache_sim_inl.h.
   template <ProbeKind K>
 #if defined(__GNUC__)
   __attribute__((always_inline))
 #endif
-  inline uint32_t AccessLineT(Bank& bank, size_t global_set,
-                              uint64_t line_index, bool is_write,
-                              CacheAccessResult* result, size_t* way_out);
+  inline uint32_t AccessLineT(size_t set, uint64_t line_index,
+                              bool is_write, CacheAccessResult* result,
+                              size_t* way_out);
 
   /// Probe used by the header-inlined Owner*Fast paths: baseline SSE2 on
   /// x86-64 (no target attribute needed, so it inlines into callers in
@@ -354,12 +286,11 @@ class CacheSim {
 #endif
 
 #if NVMDB_OWNER_CHECKS
-  /// Record the first accessing thread of a kOwner instance and abort on
-  /// any access from a different thread. Mutating entry points call this;
-  /// read-only counter getters don't, so post-join aggregation from a
-  /// parent thread (sequentially safe) stays legal.
+  /// Record the first accessing thread and abort on any access from a
+  /// different thread. Mutating entry points call this; read-only counter
+  /// getters don't, so post-join aggregation from a parent thread
+  /// (sequentially safe) stays legal.
   void CheckOwner() {
-    if (mode_ != ConcurrencyMode::kOwner) return;
     const std::thread::id self = std::this_thread::get_id();
     std::thread::id expected{};
     if (owner_thread_.load(std::memory_order_relaxed) == self) return;
@@ -375,12 +306,7 @@ class CacheSim {
   size_t line_size_;        // power of two
   unsigned line_shift_;     // log2(line_size_)
   size_t associativity_;
-  size_t num_banks_;        // power of two
-  size_t sets_per_bank_;    // power of two
-  uint64_t bank_mask_;      // num_banks_ - 1
-  unsigned bank_shift_;     // log2(num_banks_)
-  uint64_t set_mask_;       // sets_per_bank_ - 1
-  ConcurrencyMode mode_;
+  uint64_t set_mask_;       // number of sets (a power of two) - 1
   /// Probe implementation selected at construction (ResolveProbeKind).
   ProbeKind probe_kind_;
   /// probe_kind_ == kScalar, pre-tested so the header-inlined fast paths
@@ -388,13 +314,16 @@ class CacheSim {
   bool scalar_probe_;
 
   CacheCallbacks callbacks_;
-  std::vector<Bank> banks_;
-  // Flat [bank][set][way] metadata; entries_ and stamps_ are parallel.
+  // Flat [set][way] metadata; entries_ and stamps_ are parallel.
   std::vector<uint64_t> entries_;
   std::vector<uint64_t> stamps_;
+  uint64_t lru_clock_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t write_backs_ = 0;
 
 #if NVMDB_OWNER_CHECKS
-  /// First thread that touched a kOwner instance; default-constructed id
+  /// First thread that touched the instance; default-constructed id
   /// until then. Atomic so the check itself is race-free even while it
   /// detects a race.
   std::atomic<std::thread::id> owner_thread_{};

@@ -16,8 +16,7 @@
 
 namespace nvmdb {
 
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kOwner, ProbeKind::kAvx2);
-NVMDB_CACHE_SIM_INSTANTIATE(ConcurrencyMode::kShared, ProbeKind::kAvx2);
+NVMDB_CACHE_SIM_INSTANTIATE(ProbeKind::kAvx2);
 
 }  // namespace nvmdb
 

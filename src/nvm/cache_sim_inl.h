@@ -1,41 +1,23 @@
 #pragma once
 
-/// Bodies of CacheSim's per-(concurrency mode, probe kind) inner loops.
-/// Included by exactly two translation units: cache_sim.cc, which
-/// instantiates the scalar and SSE2 kinds, and cache_sim_avx2.cc, which is
-/// the only file built with -mavx2 and instantiates the AVX2 kind — so
-/// AVX2 instructions can never leak into code that runs on a pre-AVX2
-/// machine, while all kinds share one definition of the model.
+/// Bodies of CacheSim's per-probe-kind inner loops. Included by exactly
+/// two translation units: cache_sim.cc, which instantiates the scalar and
+/// SSE2 kinds, and cache_sim_avx2.cc, which is the only file built with
+/// -mavx2 and instantiates the AVX2 kind — so AVX2 instructions can never
+/// leak into code that runs on a pre-AVX2 machine, while all kinds share
+/// one definition of the model.
 
 #include "nvm/cache_sim.h"
 
 namespace nvmdb {
 
-namespace cache_detail {
-
-/// RAII bank lock that compiles to nothing in kOwner mode: the inner
-/// loops are instantiated per mode, so the owner path contains no lock,
-/// no atomic, and no mode branch.
-template <ConcurrencyMode M>
-struct BankGuard {
-  explicit BankGuard(std::mutex&) {}
-};
-
-template <>
-struct BankGuard<ConcurrencyMode::kShared> {
-  explicit BankGuard(std::mutex& mu) : lock(mu) {}
-  std::lock_guard<std::mutex> lock;
-};
-
-}  // namespace cache_detail
-
 template <ProbeKind K>
-inline uint32_t CacheSim::AccessLineT(Bank& bank, size_t global_set,
-                                      uint64_t line_index, bool is_write,
+inline uint32_t CacheSim::AccessLineT(size_t set, uint64_t line_index,
+                                      bool is_write,
                                       CacheAccessResult* result,
                                       size_t* way_out) {
-  uint64_t* const ways = &entries_[global_set * associativity_];
-  uint64_t* const stamps = &stamps_[global_set * associativity_];
+  uint64_t* const ways = &entries_[set * associativity_];
+  uint64_t* const stamps = &stamps_[set * associativity_];
   const uint64_t match = line_index << 1;
 
   // Hit probe first, over the packed entries alone: the common case
@@ -44,9 +26,9 @@ inline uint32_t CacheSim::AccessLineT(Bank& bank, size_t global_set,
   // compare+movemask steps.
   const int w = probe::SetProbe<K>::FindWay(ways, associativity_, match);
   if (w >= 0) {
-    stamps[w] = ++bank.lru_clock;
+    stamps[w] = ++lru_clock_;
     if (is_write) ways[w] |= 1;
-    bank.hits++;
+    hits_++;
     *way_out = static_cast<size_t>(w);
     return 0;
   }
@@ -56,10 +38,10 @@ inline uint32_t CacheSim::AccessLineT(Bank& bank, size_t global_set,
   // — write it back if dirty, then fill.
   const size_t victim =
       probe::SetProbe<K>::FindVictim(ways, stamps, associativity_);
-  bank.misses++;
+  misses_++;
   const uint64_t evicted = ways[victim];
   if (evicted != kInvalidEntry && (evicted & 1)) {
-    bank.write_backs++;
+    write_backs_++;
     result->write_backs++;
     if (callbacks_.write_back) {
       callbacks_.write_back(callbacks_.ctx, (evicted >> 1) << line_shift_,
@@ -70,12 +52,12 @@ inline uint32_t CacheSim::AccessLineT(Bank& bank, size_t global_set,
     callbacks_.fill(callbacks_.ctx, line_index << line_shift_, line_size_);
   }
   ways[victim] = match | (is_write ? 1 : 0);
-  stamps[victim] = ++bank.lru_clock;
+  stamps[victim] = ++lru_clock_;
   *way_out = victim;
   return 1;
 }
 
-template <ConcurrencyMode M, ProbeKind K>
+template <ProbeKind K>
 CacheAccessResult CacheSim::AccessExImpl(uint64_t addr, size_t size,
                                          bool is_write) {
   CacheAccessResult result;
@@ -83,34 +65,24 @@ CacheAccessResult CacheSim::AccessExImpl(uint64_t addr, size_t size,
   const uint64_t last = (addr + size - 1) >> line_shift_;
 
   for (uint64_t idx = first; idx <= last; idx++) {
-    const uint64_t h = MixLineIndex(idx);
-    const size_t bank_idx = h & bank_mask_;
-    const size_t set_idx = (h >> bank_shift_) & set_mask_;
+    const size_t set = SetOf(idx);
 #if defined(__GNUC__)
     if (idx < last) {
       // Overlap the next line's metadata fetch with this probe: adjacent
-      // lines hash to unrelated banks/sets by design (MixLineIndex), so
-      // the next set's entries and stamps are never the memory being
-      // scanned right now.
-      const uint64_t nh = MixLineIndex(idx + 1);
-      const size_t nslot = ((nh & bank_mask_) * sets_per_bank_ +
-                            ((nh >> bank_shift_) & set_mask_)) *
-                           associativity_;
+      // lines hash to unrelated sets by design (SetOf), so the next set's
+      // entries and stamps are never the memory being scanned right now.
+      const size_t nslot = SetOf(idx + 1) * associativity_;
       __builtin_prefetch(&entries_[nslot]);
       __builtin_prefetch(&stamps_[nslot]);
     }
 #endif
-    Bank& bank = banks_[bank_idx];
-    cache_detail::BankGuard<M> guard(bank.mu);
     size_t way;
-    result.missed += AccessLineT<K>(
-        bank, bank_idx * sets_per_bank_ + set_idx, idx, is_write, &result,
-        &way);
+    result.missed += AccessLineT<K>(set, idx, is_write, &result, &way);
   }
   return result;
 }
 
-template <ConcurrencyMode M, ProbeKind K>
+template <ProbeKind K>
 CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
                                                const uint32_t* lens,
                                                size_t num_segments,
@@ -123,7 +95,6 @@ CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
   // The line visited last, so a segment boundary falling inside it can be
   // replayed as the guaranteed hit it is without re-probing the set.
   uint64_t prev_idx = ~0ull;
-  size_t prev_bank = 0;
   size_t prev_slot = 0;
 
   for (size_t s = 0; s < num_segments; s++) {
@@ -142,25 +113,16 @@ CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
         // stream re-probes and re-hits it, so replay exactly that hit's
         // bookkeeping (fresh LRU stamp, dirty marking, hit count) against
         // the slot the line is known to occupy.
-        Bank& bank = banks_[prev_bank];
-        cache_detail::BankGuard<M> guard(bank.mu);
-        stamps_[prev_slot] = ++bank.lru_clock;
+        stamps_[prev_slot] = ++lru_clock_;
         if (is_write) entries_[prev_slot] |= 1;
-        bank.hits++;
+        hits_++;
         continue;
       }
-      const uint64_t h = MixLineIndex(idx);
-      const size_t bank_idx = h & bank_mask_;
-      const size_t set_idx = (h >> bank_shift_) & set_mask_;
-      const size_t global_set = bank_idx * sets_per_bank_ + set_idx;
-      Bank& bank = banks_[bank_idx];
-      cache_detail::BankGuard<M> guard(bank.mu);
+      const size_t set = SetOf(idx);
       size_t way;
-      result.missed +=
-          AccessLineT<K>(bank, global_set, idx, is_write, &result, &way);
+      result.missed += AccessLineT<K>(set, idx, is_write, &result, &way);
       prev_idx = idx;
-      prev_bank = bank_idx;
-      prev_slot = global_set * associativity_ + way;
+      prev_slot = set * associativity_ + way;
     }
   }
 
@@ -188,7 +150,7 @@ CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
   return result;
 }
 
-template <ConcurrencyMode M, ProbeKind K>
+template <ProbeKind K>
 size_t CacheSim::FlushRangeImpl(uint64_t addr, size_t size,
                                 bool invalidate) {
   const uint64_t first = addr >> line_shift_;
@@ -196,19 +158,13 @@ size_t CacheSim::FlushRangeImpl(uint64_t addr, size_t size,
   size_t flushed = 0;
 
   for (uint64_t idx = first; idx <= last; idx++) {
-    const uint64_t h = MixLineIndex(idx);
-    const size_t bank_idx = h & bank_mask_;
-    const size_t set_idx = (h >> bank_shift_) & set_mask_;
-    Bank& bank = banks_[bank_idx];
-    cache_detail::BankGuard<M> guard(bank.mu);
-    uint64_t* const ways =
-        &entries_[(bank_idx * sets_per_bank_ + set_idx) * associativity_];
+    uint64_t* const ways = &entries_[SetOf(idx) * associativity_];
     const uint64_t match = idx << 1;
     const int w = probe::SetProbe<K>::FindWay(ways, associativity_, match);
     if (w < 0) continue;
     if (ways[w] & 1) {
       flushed++;
-      bank.write_backs++;
+      write_backs_++;
       if (callbacks_.write_back) {
         callbacks_.write_back(callbacks_.ctx, idx << line_shift_,
                               line_size_);
@@ -220,24 +176,24 @@ size_t CacheSim::FlushRangeImpl(uint64_t addr, size_t size,
   return flushed;
 }
 
-/// Instantiates the inner loops for one (mode, probe kind); each
-/// translation unit invokes it for the kinds it owns.
-#define NVMDB_CACHE_SIM_INSTANTIATE(M, K)                                 \
-  template CacheAccessResult CacheSim::AccessExImpl<M, K>(                \
-      uint64_t, size_t, bool);                                            \
-  template CacheAccessResult CacheSim::AccessSegmentsImpl<M, K>(          \
+/// Instantiates the inner loops for one probe kind; each translation unit
+/// invokes it for the kinds it owns.
+#define NVMDB_CACHE_SIM_INSTANTIATE(K)                                    \
+  template CacheAccessResult CacheSim::AccessExImpl<K>(uint64_t, size_t,  \
+                                                       bool);             \
+  template CacheAccessResult CacheSim::AccessSegmentsImpl<K>(             \
       uint64_t, const uint32_t*, size_t, bool);                           \
-  template size_t CacheSim::FlushRangeImpl<M, K>(uint64_t, size_t, bool)
+  template size_t CacheSim::FlushRangeImpl<K>(uint64_t, size_t, bool)
 
-/// Declares a (mode, probe kind) as instantiated elsewhere, so the
-/// dispatcher can reference a kind whose instructions this translation
-/// unit must not emit (AVX2 from the baseline-ISA cache_sim.cc).
-#define NVMDB_CACHE_SIM_DECLARE(M, K)                                     \
-  extern template CacheAccessResult CacheSim::AccessExImpl<M, K>(         \
+/// Declares a probe kind as instantiated elsewhere, so the dispatcher can
+/// reference a kind whose instructions this translation unit must not
+/// emit (AVX2 from the baseline-ISA cache_sim.cc).
+#define NVMDB_CACHE_SIM_DECLARE(K)                                        \
+  extern template CacheAccessResult CacheSim::AccessExImpl<K>(            \
       uint64_t, size_t, bool);                                            \
-  extern template CacheAccessResult CacheSim::AccessSegmentsImpl<M, K>(   \
+  extern template CacheAccessResult CacheSim::AccessSegmentsImpl<K>(      \
       uint64_t, const uint32_t*, size_t, bool);                           \
-  extern template size_t CacheSim::FlushRangeImpl<M, K>(uint64_t, size_t, \
-                                                        bool)
+  extern template size_t CacheSim::FlushRangeImpl<K>(uint64_t, size_t,    \
+                                                     bool)
 
 }  // namespace nvmdb

@@ -61,37 +61,24 @@ NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
     : capacity_(capacity), latency_(latency) {
   working_ = static_cast<uint8_t*>(AllocZeroed(capacity_));
   durable_ = static_cast<uint8_t*>(AllocZeroed(capacity_));
-  // std::atomic<uint32_t> is lock-free and layout-compatible with a zeroed
-  // uint32_t on every supported platform, so the wear array can live in a
-  // lazily-zeroed mapping too instead of an eagerly-constructed new[].
-  line_writes_ = static_cast<std::atomic<uint32_t>*>(
-      AllocZeroed((capacity_ / 64 + 1) * sizeof(std::atomic<uint32_t>)));
-
-  // Resolve the concurrency mode (NVMDB_SHARED_CACHE override included)
-  // before building the cache so the write-back trampoline and the cache
-  // agree on it; the cache's own resolution of the same request is
-  // idempotent.
-  const ConcurrencyMode mode = ResolveConcurrencyMode(cache_cfg.mode);
-  owner_ = mode == ConcurrencyMode::kOwner;
-  CacheConfig resolved_cfg = cache_cfg;
-  resolved_cfg.mode = mode;
+  // The wear array lives in a lazily-zeroed mapping too instead of an
+  // eagerly-constructed new[].
+  line_writes_ = static_cast<uint32_t*>(
+      AllocZeroed((capacity_ / 64 + 1) * sizeof(uint32_t)));
 
   CacheCallbacks callbacks;
-  callbacks.write_back =
-      owner_ ? &NvmDevice::WriteBackTrampoline<ConcurrencyMode::kOwner>
-             : &NvmDevice::WriteBackTrampoline<ConcurrencyMode::kShared>;
+  callbacks.write_back = &NvmDevice::OnWriteBack;
   callbacks.ctx = this;
   // Miss latency is charged at the access site (together with hit and
   // write-back costs), not in a fill callback, so no fill hook is needed.
-  cache_ = std::make_unique<CacheSim>(resolved_cfg, callbacks);
+  cache_ = std::make_unique<CacheSim>(cache_cfg, callbacks);
 }
 
 NvmDevice::~NvmDevice() {
   if (NvmEnv::Get() == this) NvmEnv::Set(nullptr);
   FreeZeroed(working_, capacity_);
   FreeZeroed(durable_, capacity_);
-  FreeZeroed(line_writes_,
-             (capacity_ / 64 + 1) * sizeof(std::atomic<uint32_t>));
+  FreeZeroed(line_writes_, (capacity_ / 64 + 1) * sizeof(uint32_t));
 }
 
 uint64_t NvmDevice::StoreCostNs() const {
@@ -102,33 +89,23 @@ uint64_t NvmDevice::StoreCostNs() const {
                                gbps);
 }
 
-template <ConcurrencyMode M>
-void NvmDevice::OnWriteBack(uint64_t line_addr, size_t line_size) {
+void NvmDevice::OnWriteBack(void* ctx, uint64_t line_addr,
+                            size_t line_size) {
   // A dirty line reaching NVM: copy working -> durable and count wear.
   // Lines outside the managed region (virtual heap addresses routed
   // through TouchVirtual) have no durable bytes but still cost a store.
-  if (line_addr + line_size <= capacity_) {
-    memcpy(durable_ + line_addr, working_ + line_addr, line_size);
-    std::atomic<uint32_t>& wear = line_writes_[line_addr / 64];
-    if constexpr (M == ConcurrencyMode::kOwner) {
-      wear.store(wear.load(std::memory_order_relaxed) + 1,
-                 std::memory_order_relaxed);
-    } else {
-      wear.fetch_add(1, std::memory_order_relaxed);
-    }
+  NvmDevice* const d = static_cast<NvmDevice*>(ctx);
+  if (line_addr + line_size <= d->capacity_) {
+    memcpy(d->durable_ + line_addr, d->working_ + line_addr, line_size);
+    d->line_writes_[line_addr / 64]++;
   }
 }
-
-template void NvmDevice::OnWriteBack<ConcurrencyMode::kOwner>(uint64_t,
-                                                              size_t);
-template void NvmDevice::OnWriteBack<ConcurrencyMode::kShared>(uint64_t,
-                                                               size_t);
 
 void NvmDevice::ChargeAccess(uint64_t addr, size_t n, bool is_write) {
   const CacheAccessResult r = cache_->AccessEx(addr, n, is_write);
   const size_t lines =
       (addr + n - 1) / cache_->line_size() - addr / cache_->line_size() + 1;
-  // One atomic add covers the whole call: miss latency, hit latency, and
+  // One accumulation covers the whole call: miss latency, hit latency, and
   // write-back bandwidth for every line the access touched.
   ChargeStall(r.missed * latency_.read_latency_ns +
               (lines - r.missed) * latency_.cache_hit_ns +
@@ -175,12 +152,12 @@ void NvmDevice::WriteSegments(uint64_t offset, const WriteSeg* segs,
 
 void NvmDevice::Read(uint64_t offset, void* dst, size_t n) {
   assert(offset + n <= capacity_);
-  // Same owner-mode resident-hit fast path as Touch(): a single-line hit —
+  // Same resident-hit fast path as Touch(): a single-line hit —
   // the overwhelmingly common shape for header/field reads — completes
   // with one inline probe and one plain add, identical accounting to the
   // out-of-line path (n == 0 must keep taking ChargeAccess, whose legacy
   // cost formula charges line coverage without probing the cache).
-  if (owner_ && n != 0 && cache_->OwnerHitFast(offset, n, false)) {
+  if (n != 0 && cache_->OwnerHitFast(offset, n, false)) {
     ChargeStall(latency_.cache_hit_ns);
   } else {
     ChargeAccess(offset, n, /*is_write=*/false);
@@ -190,7 +167,7 @@ void NvmDevice::Read(uint64_t offset, void* dst, size_t n) {
 
 void NvmDevice::Write(uint64_t offset, const void* src, size_t n) {
   assert(offset + n <= capacity_);
-  if (owner_ && n != 0 && cache_->OwnerHitFast(offset, n, true)) {
+  if (n != 0 && cache_->OwnerHitFast(offset, n, true)) {
     ChargeStall(latency_.cache_hit_ns);
   } else {
     ChargeAccess(offset, n, /*is_write=*/true);
@@ -216,7 +193,7 @@ void NvmDevice::Persist(uint64_t offset, size_t n) {
   memcpy(durable_ + first, working_ + first, last_end - first);
   // Write-back bandwidth plus SFENCE + flush latency, in one accumulation.
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
-  CounterAdd(sync_calls_, 1);
+  sync_calls_++;
 }
 
 void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
@@ -230,7 +207,7 @@ void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
   // the old or the new value survives a crash, never a torn mix.
   memcpy(durable_ + offset, &value, 8);
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
-  CounterAdd(sync_calls_, 1);
+  sync_calls_++;
 }
 
 void NvmDevice::Crash() {
@@ -259,14 +236,12 @@ NvmCounters NvmDevice::counters() const {
   c.loads = cache_->misses();
   c.stores = cache_->write_backs();
   c.hits = cache_->hits();
-  c.stall_ns = stall_ns_.load(std::memory_order_relaxed);
-  c.external_ns = external_ns_.load(std::memory_order_relaxed);
-  c.sync_calls = sync_calls_.load(std::memory_order_relaxed);
+  c.stall_ns = stall_ns_;
+  c.external_ns = external_ns_;
+  c.sync_calls = sync_calls_;
   c.bytes_read = c.loads * cache_->line_size();
   c.bytes_written = c.stores * cache_->line_size();
-  for (size_t i = 0; i < kStallTagCount; i++) {
-    c.tag_ns[i] = tag_ns_[i].load(std::memory_order_relaxed);
-  }
+  for (size_t i = 0; i < kStallTagCount; i++) c.tag_ns[i] = tag_ns_[i];
   return c;
 }
 
@@ -276,18 +251,16 @@ void NvmDevice::ResetCounters() {
   // benchmark sections. We emulate reset by recording nothing here for the
   // cache (it has no reset) — instead benches take deltas. Stall and sync
   // counters do support reset.
-  stall_ns_.store(0, std::memory_order_relaxed);
-  sync_calls_.store(0, std::memory_order_relaxed);
-  for (size_t i = 0; i < kStallTagCount; i++) {
-    tag_ns_[i].store(0, std::memory_order_relaxed);
-  }
+  stall_ns_ = 0;
+  sync_calls_ = 0;
+  for (uint64_t& ns : tag_ns_) ns = 0;
 }
 
 WearStats NvmDevice::wear() const {
   WearStats w;
   const size_t num_lines = capacity_ / 64 + 1;
   for (size_t i = 0; i < num_lines; i++) {
-    const uint32_t writes = line_writes_[i].load(std::memory_order_relaxed);
+    const uint32_t writes = line_writes_[i];
     if (writes == 0) continue;
     w.total_line_writes += writes;
     w.lines_touched++;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -59,9 +58,9 @@ struct WearStats {
   double hotspot_factor = 0;
 };
 
-/// Counter snapshot mirroring the perf counters the paper reads.
-/// All fields are exact, including under concurrency: the cache counts
-/// per bank under the bank lock and aggregation takes those locks.
+/// Counter snapshot mirroring the perf counters the paper reads. All
+/// fields are exact: the device and its cache are thread-confined, so
+/// every count is a plain increment by the one owning thread.
 struct NvmCounters {
   uint64_t loads = 0;        // cache-line fills from NVM
   uint64_t stores = 0;       // dirty-line write-backs to NVM
@@ -88,6 +87,11 @@ struct NvmCounters {
 /// `Crash()` discards the caches and replaces the working image with the
 /// durable one, so recovery code observes exactly the bytes that were made
 /// durable — torn multi-line writes and lost unflushed updates included.
+///
+/// Like its CacheSim, a device is thread-confined: one thread drives it
+/// (debug builds abort on a second), so every counter is a plain integer
+/// and single-line cache hits and flushes take the cache's inline fast
+/// paths.
 class NvmDevice {
  public:
   NvmDevice(size_t capacity, const NvmLatencyConfig& latency = {},
@@ -109,15 +113,6 @@ class NvmDevice {
   const void* PtrAt(uint64_t offset) const { return working_ + offset; }
   bool Contains(const void* p) const {
     return p >= working_ && p < working_ + capacity_;
-  }
-
-  /// Synchronization mode the device (and its cache) runs in; selected by
-  /// CacheConfig::mode at construction, after the NVMDB_SHARED_CACHE
-  /// override. In kOwner mode every counter uses plain adds and the
-  /// Touch* entry points below take a header-inlined resident-hit fast
-  /// path that never leaves this translation unit.
-  ConcurrencyMode mode() const {
-    return owner_ ? ConcurrencyMode::kOwner : ConcurrencyMode::kShared;
   }
 
   // --- Instrumented access path -------------------------------------------
@@ -202,8 +197,9 @@ class NvmDevice {
   /// every modeled cache index — is identical across runs, which is what
   /// makes benchmark counters bit-reproducible regardless of ASLR.
   uint64_t ReserveVirtual(size_t bytes) {
-    const uint64_t span = (bytes + 63) & ~uint64_t{63};
-    return virtual_brk_.fetch_add(span, std::memory_order_relaxed);
+    const uint64_t base = virtual_brk_;
+    virtual_brk_ += (bytes + 63) & ~uint64_t{63};
+    return base;
   }
 
   /// The sync primitive (Section 2.3): flush the covered cache lines and
@@ -253,14 +249,12 @@ class NvmDevice {
   /// i.e. write-backs into the managed region).
   WearStats wear() const;
 
-  /// Total simulated time across all threads, in nanoseconds: cache
+  /// Total simulated time, in nanoseconds: cache
   /// hits/misses, write-backs, sync primitives and VFS crossings. The
   /// testbed reports throughput from this simulated clock (divided by the
   /// worker count), which makes results deterministic and driven entirely
   /// by the modeled NVM costs rather than host-machine speed.
-  uint64_t TotalStallNanos() const {
-    return stall_ns_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalStallNanos() const { return stall_ns_; }
 
   const NvmLatencyConfig& latency_config() const { return latency_; }
   void set_latency_config(const NvmLatencyConfig& cfg) { latency_ = cfg; }
@@ -268,41 +262,29 @@ class NvmDevice {
   /// Charge additional simulated time that does not depend on the NVM
   /// latency profile (VFS/syscall crossings, fsync bookkeeping).
   void ChargeExternalStall(uint64_t ns) {
-    CounterAdd(external_ns_, ns);
+    external_ns_ += ns;
     ChargeStall(ns);
   }
 
   /// Bytes of the region handed out by the allocator/pmfs; maintained by
   /// those components for footprint reporting.
-  std::atomic<uint64_t> allocated_bytes{0};
+  uint64_t allocated_bytes = 0;
 
  private:
-  /// Counter accumulation honoring the concurrency mode: an atomic RMW in
-  /// kShared, a plain load+store (mov/add/mov, no lock prefix) in kOwner
-  /// where only one thread ever writes. The relaxed load+store pair keeps
-  /// the member type uniform across modes.
-  void CounterAdd(std::atomic<uint64_t>& counter, uint64_t v) {
-    if (owner_) {
-      counter.store(counter.load(std::memory_order_relaxed) + v,
-                    std::memory_order_relaxed);
-    } else {
-      counter.fetch_add(v, std::memory_order_relaxed);
-    }
-  }
   /// Every charge also lands in the per-tag slice of the thread's current
-  /// ScopedStallTag — one extra plain add in owner mode — which is what
-  /// turns the single stall clock into a per-component breakdown.
+  /// ScopedStallTag — one extra plain add — which is what turns the
+  /// single stall clock into a per-component breakdown.
   void ChargeStall(uint64_t ns) {
-    CounterAdd(stall_ns_, ns);
-    CounterAdd(tag_ns_[static_cast<size_t>(internal::t_stall_tag)], ns);
+    stall_ns_ += ns;
+    tag_ns_[static_cast<size_t>(internal::t_stall_tag)] += ns;
   }
 
-  /// Shared body of the Touch* entry points. In owner mode, a single-line
-  /// access to an already-resident line — the overwhelmingly common case
-  /// on the engines' instrumented paths — is completed entirely inline:
-  /// one cache probe plus one plain stall add, no out-of-line call.
+  /// Shared body of the Touch* entry points. A single-line access to an
+  /// already-resident line — the overwhelmingly common case on the
+  /// engines' instrumented paths — is completed entirely inline: one
+  /// cache probe plus one plain stall add, no out-of-line call.
   void Touch(uint64_t addr, size_t n, bool is_write) {
-    if (owner_ && cache_->OwnerHitFast(addr, n, is_write)) {
+    if (cache_->OwnerHitFast(addr, n, is_write)) {
       ChargeStall(latency_.cache_hit_ns);
       return;
     }
@@ -316,29 +298,20 @@ class NvmDevice {
 
   /// Flush the lines covering [offset, offset+n) per the sync primitive's
   /// invalidation policy (CLWB vs CLFLUSH), returning the count written
-  /// back. In owner mode a range within one line — every per-tuple
-  /// persist the engines issue — completes inline.
+  /// back. A range within one line — every per-tuple persist the engines
+  /// issue — completes inline.
   size_t FlushLines(uint64_t offset, size_t n) {
     const bool invalidate = !latency_.use_clwb;
-    if (owner_) {
-      const int fast = cache_->OwnerFlushFast(offset, n, invalidate);
-      if (fast >= 0) return static_cast<size_t>(fast);
-    }
+    const int fast = cache_->OwnerFlushFast(offset, n, invalidate);
+    if (fast >= 0) return static_cast<size_t>(fast);
     return cache_->FlushRange(offset, n, invalidate);
   }
 
   /// Target of the cache's write-back callback (dispatched through a raw
   /// function pointer, not std::function): mirror the line into the
   /// durable image and count wear. Stall accounting happens at the access
-  /// site, not here. Instantiated per concurrency mode so owner-mode wear
-  /// increments are plain adds.
-  template <ConcurrencyMode M>
-  void OnWriteBack(uint64_t line_addr, size_t line_size);
-  template <ConcurrencyMode M>
-  static void WriteBackTrampoline(void* ctx, uint64_t line_addr,
-                                  size_t line_size) {
-    static_cast<NvmDevice*>(ctx)->OnWriteBack<M>(line_addr, line_size);
-  }
+  /// site, not here.
+  static void OnWriteBack(void* ctx, uint64_t line_addr, size_t line_size);
 
   size_t capacity_;
   // Working/durable images and the per-line wear array are lazily-zeroed
@@ -347,21 +320,18 @@ class NvmDevice {
   // burned ~1.5 GB of page faults per benchmark database).
   uint8_t* working_ = nullptr;
   uint8_t* durable_ = nullptr;
-  std::atomic<uint32_t>* line_writes_ = nullptr;  // wear per line
+  uint32_t* line_writes_ = nullptr;  // wear per line
   NvmLatencyConfig latency_;
   std::unique_ptr<CacheSim> cache_;
-  /// True in ConcurrencyMode::kOwner (thread-confined, plain counter
-  /// adds); resolved once at construction.
-  bool owner_ = false;
 
-  std::atomic<uint64_t> stall_ns_{0};
-  std::atomic<uint64_t> external_ns_{0};
-  std::atomic<uint64_t> sync_calls_{0};
-  std::atomic<uint64_t> tag_ns_[kStallTagCount] = {};
+  uint64_t stall_ns_ = 0;
+  uint64_t external_ns_ = 0;
+  uint64_t sync_calls_ = 0;
+  uint64_t tag_ns_[kStallTagCount] = {};
   /// Modeled virtual address space for ReserveVirtual. 2^44 is far above
   /// any region offset (devices are at most a few GB), and reservations
   /// total well under 2^50, so ranges never collide with region lines.
-  std::atomic<uint64_t> virtual_brk_{uint64_t{1} << 44};
+  uint64_t virtual_brk_ = uint64_t{1} << 44;
   CrashSim* crash_sim_ = nullptr;
 };
 

@@ -83,7 +83,7 @@ void PmemAllocator::Format() {
   rotate_.clear();
   memset(used_by_tag_, 0, sizeof(used_by_tag_));
   total_used_ = 0;
-  device_->allocated_bytes.store(0);
+  device_->allocated_bytes = 0;
 }
 
 uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
@@ -129,7 +129,7 @@ uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
   used_by_tag_[static_cast<size_t>(tag) %
                static_cast<size_t>(StorageTag::kCount)] += cap;
   total_used_ += cap;
-  device_->allocated_bytes.fetch_add(cap, std::memory_order_relaxed);
+  device_->allocated_bytes += cap;
   return slot_off + sizeof(SlotHeader);
 }
 
@@ -187,8 +187,7 @@ void PmemAllocator::Free(uint64_t payload_offset) {
     used_by_tag_[tag_idx] -= slot->capacity;
   }
   if (total_used_ >= slot->capacity) total_used_ -= slot->capacity;
-  device_->allocated_bytes.fetch_sub(slot->capacity,
-                                     std::memory_order_relaxed);
+  device_->allocated_bytes -= slot->capacity;
   PushFree(slot_off, slot->capacity);
 }
 
@@ -299,7 +298,7 @@ void PmemAllocator::Recover() {
   }
   h->high_water = off;
   device_->TouchWrite(&h->high_water, sizeof(h->high_water));
-  device_->allocated_bytes.store(total_used_, std::memory_order_relaxed);
+  device_->allocated_bytes = total_used_;
 }
 
 Status PmemAllocator::AuditHeap(uint64_t* live_slots) const {

@@ -57,7 +57,7 @@ namespace internal {
 /// The charging thread's current tag. Thread-local (like NvmEnv's current
 /// device) so concurrent benchmark cells on pool threads never see each
 /// other's tags; inline so NvmDevice::ChargeStall can read it without an
-/// out-of-line call on the owner-mode hot path.
+/// out-of-line call on the hot path.
 inline thread_local StallTag t_stall_tag = StallTag::kOther;
 }  // namespace internal
 

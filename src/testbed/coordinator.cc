@@ -81,9 +81,7 @@ RunResult Coordinator::Execute(const std::vector<const TxnQueue*>& queues) {
       const uint64_t start_local = st.clock;
       const uint64_t txn_id = engine->Begin();
       const bool committed =
-          task.fn != nullptr
-              ? task.fn(task, queue, engine, txn_id, &scratch[p])
-              : queue.closures[task.off](engine, txn_id);
+          task.fn(task, queue, engine, txn_id, &scratch[p]);
       if (committed) {
         engine->Commit(txn_id);
         result.committed++;

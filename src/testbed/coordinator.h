@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,9 +39,8 @@ using TxnFn = bool (*)(const TxnTask& task, const TxnQueue& queue,
 /// One pre-generated transaction bound to a partition: a POD parameter
 /// block interpreted by `fn`. Field meaning is up to the generator; by
 /// convention `off`/`len` reference the queue's byte pool and
-/// `woff`/`wcnt` its word pool. When `fn` is null the task dispatches to
-/// `queue.closures[off]` — the escape hatch for ad-hoc bodies (tests,
-/// recovery drills) where per-task std::function cost is irrelevant.
+/// `woff`/`wcnt` its word pool; state shared by every task of a queue
+/// goes in `queue.ctx`.
 struct TxnTask {
   TxnFn fn = nullptr;
   uint64_t key = 0;
@@ -67,20 +65,10 @@ struct TxnQueue {
   std::string bytes;            // pooled string payloads (off/len)
   std::vector<uint64_t> words;  // pooled u64 payloads (woff/wcnt)
   std::shared_ptr<const void> ctx;
-  // Escape hatch: ad-hoc closure bodies, dispatched when task.fn == null.
-  std::vector<std::function<bool(StorageEngine*, uint64_t)>> closures;
 
   size_t size() const { return tasks.size(); }
   bool empty() const { return tasks.empty(); }
   void reserve(size_t n) { tasks.reserve(n); }
-
-  /// Append an ad-hoc closure transaction (escape hatch).
-  void PushBody(std::function<bool(StorageEngine*, uint64_t)> body) {
-    TxnTask task;
-    task.off = static_cast<uint32_t>(closures.size());
-    closures.push_back(std::move(body));
-    tasks.push_back(task);
-  }
 
   Slice StrAt(uint32_t off, uint32_t len) const {
     return Slice(bytes.data() + off, len);

@@ -27,7 +27,9 @@ struct Event {
 
 /// Reference model: a line-for-line keep of the seed implementation
 /// (pointer-chasing layout, div/mod Locate, per-line eviction scan). Only
-/// the callback plumbing differs: events append to a vector.
+/// the callback plumbing differs: events append to a vector, and the bank
+/// count is fixed at 1 so WriteBackAll emits its events in the fast
+/// cache's flat set order.
 class ReferenceCache {
  public:
   ReferenceCache(const CacheConfig& config, std::vector<Event>* events)
@@ -36,11 +38,8 @@ class ReferenceCache {
         config_.associativity, config_.capacity_bytes / config_.line_size);
     size_t num_sets =
         std::max<size_t>(1, num_lines / config_.associativity);
-    size_t num_banks =
-        std::max<size_t>(1, std::min(config_.num_banks, num_sets));
-    sets_per_bank_ = num_sets / num_banks;
-    if (sets_per_bank_ == 0) sets_per_bank_ = 1;
-    banks_.resize(num_banks);
+    sets_per_bank_ = num_sets;
+    banks_.resize(1);
     for (auto& bank : banks_) {
       bank.sets.resize(sets_per_bank_);
       for (auto& set : bank.sets) set.ways.resize(config_.associativity);
@@ -197,9 +196,8 @@ CacheCallbacks EventRecorder(std::vector<Event>* events) {
 }
 
 /// Drives the randomized trace through the reference model and through a
-/// fast CacheSim in *each* concurrency mode — kOwner (zero-synchronization
-/// loop, inlinable hit path) and kShared (bank locks) — plus a
-/// forced-scalar kOwner instance: the SIMD probe (SSE2/AVX2, whatever
+/// fast CacheSim (inlinable hit/flush paths plus the out-of-line loops)
+/// and a forced-scalar instance: the SIMD probe (SSE2/AVX2, whatever
 /// ResolveProbeKind picked on this CPU) and the scalar loop must both
 /// reproduce the reference's hit/miss/write-back sequences exactly. The
 /// trace also issues segmented accesses, which the reference models as the
@@ -208,18 +206,11 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
               uint64_t address_space) {
   std::vector<Event> ref_events;
   std::vector<Event> owner_events;
-  std::vector<Event> shared_events;
   std::vector<Event> scalar_events;
   ReferenceCache reference(base_cfg, &ref_events);
 
+  CacheSim owner(base_cfg, EventRecorder(&owner_events));
   CacheConfig cfg = base_cfg;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim owner(cfg, EventRecorder(&owner_events));
-  ASSERT_EQ(owner.mode(), ConcurrencyMode::kOwner);
-  cfg.mode = ConcurrencyMode::kShared;
-  CacheSim shared(cfg, EventRecorder(&shared_events));
-  ASSERT_EQ(shared.mode(), ConcurrencyMode::kShared);
-  cfg.mode = ConcurrencyMode::kOwner;
   cfg.force_scalar_probe = true;
   CacheSim scalar(cfg, EventRecorder(&scalar_events));
   ASSERT_EQ(scalar.probe_kind(), ProbeKind::kScalar);
@@ -239,7 +230,6 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
                                       ? 0
                                       : owner.Access(addr, size, flag);
       ASSERT_EQ(expected, owner_missed) << "op " << op;
-      ASSERT_EQ(expected, shared.Access(addr, size, flag)) << "op " << op;
       const size_t scalar_missed = scalar.OwnerHitFast(addr, size, flag)
                                        ? 0
                                        : scalar.Access(addr, size, flag);
@@ -268,10 +258,6 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
           owner.AccessSegments(addr, lens, nseg, flag);
       ASSERT_EQ(expected, owner_r.missed) << "op " << op;
       ASSERT_EQ(ref_lines, owner_r.lines) << "op " << op;
-      const CacheAccessResult shared_r =
-          shared.AccessSegments(addr, lens, nseg, flag);
-      ASSERT_EQ(expected, shared_r.missed) << "op " << op;
-      ASSERT_EQ(ref_lines, shared_r.lines) << "op " << op;
       const CacheAccessResult scalar_r =
           scalar.AccessSegments(addr, lens, nseg, flag);
       ASSERT_EQ(expected, scalar_r.missed) << "op " << op;
@@ -285,8 +271,6 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
                                        ? static_cast<size_t>(fast)
                                        : owner.FlushRange(addr, size, flag);
       ASSERT_EQ(expected, owner_flushed) << "op " << op;
-      ASSERT_EQ(expected, shared.FlushRange(addr, size, flag))
-          << "op " << op;
       const int sfast = scalar.OwnerFlushFast(addr, size, flag);
       const size_t scalar_flushed =
           sfast >= 0 ? static_cast<size_t>(sfast)
@@ -295,27 +279,23 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
     } else if (kind < 97) {
       const size_t expected = reference.WriteBackAll();
       ASSERT_EQ(expected, owner.WriteBackAll()) << "op " << op;
-      ASSERT_EQ(expected, shared.WriteBackAll()) << "op " << op;
       ASSERT_EQ(expected, scalar.WriteBackAll()) << "op " << op;
     } else {
       // Crash: all cached state vanishes, nothing is written back.
       reference.DropDirty();
       owner.DropDirty();
-      shared.DropDirty();
       scalar.DropDirty();
     }
     ASSERT_EQ(ref_events.size(), owner_events.size()) << "op " << op;
-    ASSERT_EQ(ref_events.size(), shared_events.size()) << "op " << op;
     ASSERT_EQ(ref_events.size(), scalar_events.size()) << "op " << op;
   }
 
-  for (const CacheSim* fast : {&owner, &shared, &scalar}) {
+  for (const CacheSim* fast : {&owner, &scalar}) {
     EXPECT_EQ(reference.hits, fast->hits());
     EXPECT_EQ(reference.misses, fast->misses());
     EXPECT_EQ(reference.write_backs, fast->write_backs());
   }
   ASSERT_EQ(ref_events.size(), owner_events.size());
-  ASSERT_EQ(ref_events.size(), shared_events.size());
   ASSERT_EQ(ref_events.size(), scalar_events.size());
   for (size_t i = 0; i < ref_events.size(); i++) {
     ASSERT_TRUE(ref_events[i] == owner_events[i])
@@ -323,11 +303,6 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
         << " line " << ref_events[i].line_addr << " vs owner kind "
         << int(owner_events[i].kind) << " line "
         << owner_events[i].line_addr;
-    ASSERT_TRUE(ref_events[i] == shared_events[i])
-        << "event " << i << ": ref kind " << int(ref_events[i].kind)
-        << " line " << ref_events[i].line_addr << " vs shared kind "
-        << int(shared_events[i].kind) << " line "
-        << shared_events[i].line_addr;
     ASSERT_TRUE(ref_events[i] == scalar_events[i])
         << "event " << i << ": ref kind " << int(ref_events[i].kind)
         << " line " << ref_events[i].line_addr << " vs scalar kind "
@@ -339,21 +314,19 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
 // Power-of-two geometries, where the fast path's shift+mask Locate must
 // reproduce the reference's div/mod mapping exactly.
 
-TEST(CacheGoldenTest, SmallSingleBank) {
+TEST(CacheGoldenTest, SmallCache) {
   CacheConfig cfg;
   cfg.capacity_bytes = 4 * 1024;  // 64 lines, 16 sets
   cfg.line_size = 64;
   cfg.associativity = 4;
-  cfg.num_banks = 1;
   RunTrace(cfg, /*seed=*/1, /*num_ops=*/50000, /*address_space=*/64 * 1024);
 }
 
-TEST(CacheGoldenTest, MultiBankBenchGeometry) {
+TEST(CacheGoldenTest, BenchGeometry) {
   CacheConfig cfg;
   cfg.capacity_bytes = 256 * 1024;  // benchmark shape, scaled down
   cfg.line_size = 64;
   cfg.associativity = 16;
-  cfg.num_banks = 16;
   RunTrace(cfg, /*seed=*/2, /*num_ops=*/50000,
            /*address_space=*/4 * 1024 * 1024);
 }
@@ -363,7 +336,6 @@ TEST(CacheGoldenTest, HighPressureEvictions) {
   cfg.capacity_bytes = 8 * 1024;  // tiny cache, huge address space
   cfg.line_size = 64;
   cfg.associativity = 2;
-  cfg.num_banks = 4;
   RunTrace(cfg, /*seed=*/3, /*num_ops=*/50000,
            /*address_space=*/16 * 1024 * 1024);
 }
@@ -380,7 +352,6 @@ TEST(CacheGoldenTest, ProbeEquivalenceAssociativitySweep) {
     cfg.capacity_bytes = 64 * 1024;
     cfg.line_size = 64;
     cfg.associativity = assoc;
-    cfg.num_banks = 8;
     RunTrace(cfg, /*seed=*/100 + assoc, /*num_ops=*/30000,
              /*address_space=*/8 * 1024 * 1024);
   }
@@ -394,8 +365,7 @@ TEST(CacheGoldenTest, DirtyVictimEvictionStorm) {
   CacheConfig cfg;
   cfg.capacity_bytes = 16 * 1024;
   cfg.line_size = 64;
-  cfg.associativity = 16;  // one set per bank: deep scans, constant churn
-  cfg.num_banks = 4;
+  cfg.associativity = 16;  // 16 sets of 16 ways: deep scans, churn
   RunTrace(cfg, /*seed=*/7, /*num_ops=*/50000,
            /*address_space=*/32 * 1024 * 1024);
 }
@@ -409,27 +379,17 @@ TEST(CacheGoldenTest, FlushWithInvalidateChurn) {
   cfg.capacity_bytes = 32 * 1024;
   cfg.line_size = 64;
   cfg.associativity = 8;
-  cfg.num_banks = 2;
   RunTrace(cfg, /*seed=*/11, /*num_ops=*/50000,
            /*address_space=*/256 * 1024);
 }
 
-// The NVMDB_FORCE_SCALAR_PROBE environment variable must pin the scalar
-// loop at construction time, overriding whatever the CPU supports.
-TEST(CacheGoldenTest, ForceScalarProbeEnvVar) {
-  setenv("NVMDB_FORCE_SCALAR_PROBE", "1", /*overwrite=*/1);
+// The config flag must pin the scalar loop at construction time,
+// overriding whatever the CPU supports.
+TEST(CacheGoldenTest, ForceScalarProbeConfigFlag) {
   CacheConfig cfg;
   cfg.capacity_bytes = 4 * 1024;
   cfg.line_size = 64;
   cfg.associativity = 4;
-  cfg.num_banks = 1;
-  {
-    CacheSim sim(cfg, CacheCallbacks{});
-    EXPECT_EQ(sim.probe_kind(), ProbeKind::kScalar);
-  }
-  unsetenv("NVMDB_FORCE_SCALAR_PROBE");
-  // And with it unset the construction-time choice is dispatch-selected
-  // again (whatever this CPU offers) while the config flag still forces.
   cfg.force_scalar_probe = true;
   CacheSim forced(cfg, CacheCallbacks{});
   EXPECT_EQ(forced.probe_kind(), ProbeKind::kScalar);

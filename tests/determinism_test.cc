@@ -10,8 +10,7 @@
 /// region offsets or by ReserveVirtual addresses (a deterministic bump
 /// allocator in the device's modeled address space), so the cache model
 /// never sees an ASLR-dependent raw pointer. The identity is asserted
-/// across three axes: run-vs-rerun, owner-vs-shared cache mode, and
-/// bench-scheduler jobs=1 vs jobs=4.
+/// across two axes: run-vs-rerun and bench-scheduler jobs=1 vs jobs=4.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,14 +40,12 @@ struct ModelOutput {
   LatencyHistogram latency_hist;
 };
 
-ModelOutput RunOnce(EngineKind engine,
-                    ConcurrencyMode mode = ConcurrencyMode::kOwner) {
+ModelOutput RunOnce(EngineKind engine) {
   DatabaseConfig cfg;
   cfg.num_partitions = 1;  // single worker: fully deterministic schedule
   cfg.nvm_capacity = 128ull * 1024 * 1024;
   cfg.latency = NvmLatencyConfig::Dram();
   cfg.cache.capacity_bytes = 1024 * 1024;
-  cfg.cache.mode = mode;
   cfg.engine = engine;
   Database db(cfg);
 
@@ -105,14 +102,11 @@ void ExpectIdentical(const ModelOutput& a, const ModelOutput& b) {
 
 class EngineDeterminismTest : public ::testing::TestWithParam<EngineKind> {};
 
-// Run-vs-rerun and owner-vs-shared identity in one fixture: owner mode
-// (zero-synchronization fast path, the bench default) and shared mode
-// (bank locks) must be *the same model*. This is the device-level
-// guarantee behind the CI jobs that diff benchmark output between modes.
-TEST_P(EngineDeterminismTest, RerunAndOwnerVsSharedIdentical) {
-  const ModelOutput baseline = RunOnce(GetParam(), ConcurrencyMode::kOwner);
-  ExpectIdentical(baseline, RunOnce(GetParam(), ConcurrencyMode::kOwner));
-  ExpectIdentical(baseline, RunOnce(GetParam(), ConcurrencyMode::kShared));
+// Run-vs-rerun identity: two fresh databases driven by the same workload
+// must produce the same model, counter for counter.
+TEST_P(EngineDeterminismTest, RerunIdentical) {
+  const ModelOutput baseline = RunOnce(GetParam());
+  ExpectIdentical(baseline, RunOnce(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSixEngines, EngineDeterminismTest,

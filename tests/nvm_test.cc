@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -14,19 +14,17 @@ namespace {
 
 /// Event counters wired into CacheCallbacks' raw-pointer interface.
 struct EventCounts {
-  std::atomic<uint64_t> write_backs{0};
-  std::atomic<uint64_t> fills{0};
+  uint64_t write_backs = 0;
+  uint64_t fills = 0;
 
   CacheCallbacks AsCallbacks() {
     CacheCallbacks callbacks;
     callbacks.ctx = this;
     callbacks.write_back = [](void* ctx, uint64_t, size_t) {
-      static_cast<EventCounts*>(ctx)->write_backs.fetch_add(
-          1, std::memory_order_relaxed);
+      static_cast<EventCounts*>(ctx)->write_backs++;
     };
     callbacks.fill = [](void* ctx, uint64_t, size_t) {
-      static_cast<EventCounts*>(ctx)->fills.fetch_add(
-          1, std::memory_order_relaxed);
+      static_cast<EventCounts*>(ctx)->fills++;
     };
     return callbacks;
   }
@@ -39,7 +37,6 @@ TEST(CacheSimTest, HitAfterMiss) {
   cfg.capacity_bytes = 4096;
   cfg.line_size = 64;
   cfg.associativity = 4;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   EXPECT_EQ(cache.Access(0, 64, false), 1u);  // miss
   EXPECT_EQ(cache.Access(0, 64, false), 0u);  // hit
@@ -50,7 +47,6 @@ TEST(CacheSimTest, HitAfterMiss) {
 TEST(CacheSimTest, MultiLineAccess) {
   CacheConfig cfg;
   cfg.capacity_bytes = 4096;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   // 200 bytes spanning 4 lines (unaligned start).
   EXPECT_EQ(cache.Access(30, 200, false), 4u);
@@ -61,31 +57,28 @@ TEST(CacheSimTest, DirtyEvictionTriggersWriteBack) {
   cfg.capacity_bytes = 256;  // 4 lines total
   cfg.line_size = 64;
   cfg.associativity = 2;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   // Dirty many distinct lines; capacity forces evictions of dirty lines.
   for (uint64_t i = 0; i < 64; i++) cache.Access(i * 64, 8, true);
-  EXPECT_GT(events.write_backs.load(), 32u);
+  EXPECT_GT(events.write_backs, 32u);
 }
 
 TEST(CacheSimTest, FlushWritesBackAndInvalidates) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   cache.Access(128, 8, true);
   EXPECT_EQ(cache.FlushRange(128, 8, /*invalidate=*/true), 1u);
-  EXPECT_EQ(events.write_backs.load(), 1u);
+  EXPECT_EQ(events.write_backs, 1u);
   // Invalidated: next access misses again.
-  const uint64_t fills_before = events.fills.load();
+  const uint64_t fills_before = events.fills;
   cache.Access(128, 8, false);
-  EXPECT_EQ(events.fills.load(), fills_before + 1);
+  EXPECT_EQ(events.fills, fills_before + 1);
 }
 
 TEST(CacheSimTest, ClwbKeepsLineResident) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   cache.Access(128, 8, true);
   cache.FlushRange(128, 8, /*invalidate=*/false);  // CLWB semantics
@@ -94,7 +87,6 @@ TEST(CacheSimTest, ClwbKeepsLineResident) {
 
 TEST(CacheSimTest, FlushCleanLineIsNoop) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   CacheSim cache(cfg, {});
   cache.Access(0, 8, false);
   EXPECT_EQ(cache.FlushRange(0, 8, true), 0u);
@@ -102,12 +94,11 @@ TEST(CacheSimTest, FlushCleanLineIsNoop) {
 
 TEST(CacheSimTest, DropDirtyDiscardsWithoutWriteBack) {
   CacheConfig cfg;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   cache.Access(0, 64, true);
   cache.DropDirty();
-  EXPECT_EQ(events.write_backs.load(), 0u);
+  EXPECT_EQ(events.write_backs, 0u);
   EXPECT_EQ(cache.FlushRange(0, 64, true), 0u);  // nothing cached anymore
 }
 
@@ -116,7 +107,6 @@ TEST(CacheSimTest, AccessExReportsWriteBacks) {
   cfg.capacity_bytes = 256;  // 4 lines total
   cfg.line_size = 64;
   cfg.associativity = 2;
-  cfg.num_banks = 1;
   EventCounts events;
   CacheSim cache(cfg, events.AsCallbacks());
   CacheAccessResult total;
@@ -127,131 +117,27 @@ TEST(CacheSimTest, AccessExReportsWriteBacks) {
   }
   // Every write-back surfaced by a callback was also reported to the
   // caller of AccessEx (this is what lets the device charge bandwidth
-  // with one atomic add per access instead of one per line).
-  EXPECT_EQ(events.write_backs.load(), total.write_backs);
+  // with one accumulation per access instead of one per line).
+  EXPECT_EQ(events.write_backs, total.write_backs);
   EXPECT_EQ(cache.write_backs(), total.write_backs);
   EXPECT_EQ(cache.misses(), total.missed);
 }
 
-// Satellite: the seed's counters were documented as "approximate under
-// concurrency"; the per-bank rework makes them exact. Every access
-// touches exactly one line here, so after the threads quiesce the
-// identity hits + misses == total accesses must hold with no slack.
-// Pinned to kShared: this is the multi-threaded discipline (and the test
-// the TSan job watches); owner mode forbids concurrent access entirely.
-TEST(CacheSimTest, CountersExactUnderConcurrency) {
-  CacheConfig cfg;
-  cfg.capacity_bytes = 64 * 1024;
-  cfg.line_size = 64;
-  cfg.associativity = 4;
-  cfg.num_banks = 8;
-  cfg.mode = ConcurrencyMode::kShared;
-  EventCounts events;
-  CacheSim cache(cfg, events.AsCallbacks());
-
-  constexpr int kThreads = 8;
-  constexpr uint64_t kAccessesPerThread = 100000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; t++) {
-    threads.emplace_back([&cache, t]() {
-      uint64_t x = 0x9e3779b9u + static_cast<uint64_t>(t);
-      for (uint64_t i = 0; i < kAccessesPerThread; i++) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        const uint64_t addr = (x % (1u << 20)) & ~uint64_t{63};
-        cache.Access(addr, 8, (x & 1) != 0);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(cache.hits() + cache.misses(), kThreads * kAccessesPerThread);
-  EXPECT_EQ(cache.write_backs(), events.write_backs.load());
-  EXPECT_EQ(cache.misses(), events.fills.load());
-}
-
-// --- Concurrency modes -------------------------------------------------------
-
-TEST(CacheSimTest, ModeIsConstructorSelected) {
-  CacheConfig cfg;
-  cfg.num_banks = 1;
-  CacheSim owner(cfg, {});  // kOwner is the config default
-  EXPECT_EQ(owner.mode(), ConcurrencyMode::kOwner);
-  cfg.mode = ConcurrencyMode::kShared;
-  CacheSim shared(cfg, {});
-  EXPECT_EQ(shared.mode(), ConcurrencyMode::kShared);
-}
-
-TEST(CacheSimTest, EnvForcesSharedMode) {
-  setenv("NVMDB_SHARED_CACHE", "1", 1);
-  CacheConfig cfg;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim forced(cfg, {});
-  EXPECT_EQ(forced.mode(), ConcurrencyMode::kShared);
-  setenv("NVMDB_SHARED_CACHE", "0", 1);
-  CacheSim not_forced(cfg, {});
-  EXPECT_EQ(not_forced.mode(), ConcurrencyMode::kOwner);
-  unsetenv("NVMDB_SHARED_CACHE");
-  CacheSim unset(cfg, {});
-  EXPECT_EQ(unset.mode(), ConcurrencyMode::kOwner);
-}
-
-// Both modes run the identical cache model; only the synchronization
-// differs. A single-threaded trace must therefore produce the same
-// miss/flush return values, counters, and events in either mode.
-TEST(CacheSimTest, OwnerAndSharedModelIdentical) {
-  CacheConfig cfg;
-  cfg.capacity_bytes = 8 * 1024;
-  cfg.line_size = 64;
-  cfg.associativity = 2;
-  cfg.num_banks = 4;
-  EventCounts owner_events, shared_events;
-  cfg.mode = ConcurrencyMode::kOwner;
-  CacheSim owner(cfg, owner_events.AsCallbacks());
-  cfg.mode = ConcurrencyMode::kShared;
-  CacheSim shared(cfg, shared_events.AsCallbacks());
-
-  uint64_t x = 0x2545F4914F6CDD1Dull;
-  for (int i = 0; i < 20000; i++) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const uint64_t addr = x % (256 * 1024);
-    const size_t size = 1 + (x >> 32) % 200;
-    const bool flag = (x & 2) != 0;
-    if ((x % 10) < 8) {
-      EXPECT_EQ(owner.Access(addr, size, flag),
-                shared.Access(addr, size, flag));
-    } else {
-      EXPECT_EQ(owner.FlushRange(addr, size, flag),
-                shared.FlushRange(addr, size, flag));
-    }
-  }
-  EXPECT_EQ(owner.hits(), shared.hits());
-  EXPECT_EQ(owner.misses(), shared.misses());
-  EXPECT_EQ(owner.write_backs(), shared.write_backs());
-  EXPECT_EQ(owner_events.write_backs.load(), shared_events.write_backs.load());
-  EXPECT_EQ(owner_events.fills.load(), shared_events.fills.load());
-}
-
-// Satellite: cross-thread access to an owner-mode cache must be caught in
-// debug builds (the zero-synchronization fast path is only sound under
-// strict thread confinement). Release builds compile the check out; the
-// test skips there rather than exercising undefined behavior.
+// Cross-thread access to a cache must be caught in debug builds (the
+// zero-synchronization access path is only sound under strict thread
+// confinement). Release builds compile the check out; the test skips
+// there rather than exercising undefined behavior.
 TEST(CacheSimOwnerDeathTest, CrossThreadAccessAbortsInDebug) {
   if (!CacheSim::kOwnerChecksEnabled) {
     GTEST_SKIP() << "owner checks compiled out (NDEBUG)";
   }
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   CacheConfig cfg;
-  cfg.num_banks = 1;
-  cfg.mode = ConcurrencyMode::kOwner;
   CacheSim cache(cfg, {});
   cache.Access(0, 8, false);  // this thread becomes the owner
   EXPECT_DEATH(
       std::thread([&cache] { cache.Access(64, 8, false); }).join(),
-      "owner-mode violation");
+      "owner-thread violation");
 }
 
 // --- NvmDevice ---------------------------------------------------------------
@@ -294,7 +180,6 @@ TEST_F(NvmDeviceTest, EvictedDirtyLinesSurviveCrash) {
   // (written back) and must survive even without explicit Persist.
   CacheConfig small_cache;
   small_cache.capacity_bytes = 8 * 1024;
-  small_cache.num_banks = 1;
   NvmDevice device(1 << 20, NvmLatencyConfig::Dram(), small_cache);
   for (uint64_t i = 0; i < 1024; i++) {
     const uint64_t v = i * 3 + 1;
@@ -384,55 +269,89 @@ TEST_F(NvmDeviceTest, SyncLatencySweepAffectsStall) {
   EXPECT_GT(costs[1], costs[0] * 50);
 }
 
-// The owner-mode device inlines a resident-hit fast path into Touch*;
-// the same traffic driven through an owner and a shared device must
-// produce bit-identical counters, stalls, and wear.
-TEST_F(NvmDeviceTest, OwnerTouchFastPathMatchesSharedMode) {
+// The device completes single-line hits (Touch*/Read/Write) and
+// single-line flushes (Persist) inline in its header. Drive the same trace
+// through a device and through a bare CacheSim that only ever takes the
+// out-of-line AccessEx/FlushRange paths, charging the device's cost
+// formula by hand: loads, stores, hits, stall time and wear must agree.
+TEST_F(NvmDeviceTest, InlineFastPathsMatchBareCache) {
+  constexpr size_t kCapacity = 1 << 20;
+  const NvmLatencyConfig lat = NvmLatencyConfig::LowNvm();
   CacheConfig cache_cfg;
   cache_cfg.capacity_bytes = 64 * 1024;
-  cache_cfg.mode = ConcurrencyMode::kOwner;
-  NvmDevice owner(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
-  cache_cfg.mode = ConcurrencyMode::kShared;
-  NvmDevice shared(1 << 20, NvmLatencyConfig::LowNvm(), cache_cfg);
-  ASSERT_EQ(owner.mode(), ConcurrencyMode::kOwner);
-  ASSERT_EQ(shared.mode(), ConcurrencyMode::kShared);
+  NvmDevice device(kCapacity, lat, cache_cfg);
 
-  auto drive = [](NvmDevice& d) {
-    uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (int i = 0; i < 30000; i++) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      const uint64_t off = x % ((1 << 20) - 512);
-      const size_t n = 1 + (x >> 32) % 100;  // mostly single-line
-      switch (x % 5) {
-        case 0: d.TouchRead(d.PtrAt(off), n); break;
-        case 1: d.TouchWrite(d.PtrAt(off), n); break;
-        case 2:
-          d.TouchVirtual(reinterpret_cast<void*>((uint64_t{1} << 45) + off),
-                         n, (x & 2) != 0);
-          break;
-        case 3: d.Write(off, &x, 8); break;
-        default: d.Persist(off, n); break;
-      }
+  std::vector<uint32_t> wear(kCapacity / 64 + 1, 0);
+  CacheCallbacks callbacks;
+  callbacks.ctx = &wear;
+  callbacks.write_back = [](void* ctx, uint64_t line_addr, size_t size) {
+    if (line_addr + size <= kCapacity) {
+      (*static_cast<std::vector<uint32_t>*>(ctx))[line_addr / 64]++;
     }
   };
-  drive(owner);
-  drive(shared);
+  CacheSim bare(cache_cfg, callbacks);
+  const uint64_t store_ns =
+      static_cast<uint64_t>(64.0 / lat.write_bandwidth_gbps);
+  uint64_t bare_stall_ns = 0;
+  auto bare_access = [&](uint64_t addr, size_t n, bool is_write) {
+    const CacheAccessResult r = bare.AccessEx(addr, n, is_write);
+    const uint64_t lines = (addr + n - 1) / 64 - addr / 64 + 1;
+    bare_stall_ns += r.missed * lat.read_latency_ns +
+                     (lines - r.missed) * lat.cache_hit_ns +
+                     r.write_backs * store_ns;
+  };
 
-  const NvmCounters a = owner.counters();
-  const NvmCounters b = shared.counters();
-  EXPECT_EQ(a.loads, b.loads);
-  EXPECT_EQ(a.stores, b.stores);
-  EXPECT_EQ(a.hits, b.hits);
-  EXPECT_EQ(a.stall_ns, b.stall_ns);
-  EXPECT_EQ(a.sync_calls, b.sync_calls);
-  EXPECT_GT(a.hits, 0u);  // the fast path actually fired
-  const WearStats wa = owner.wear();
-  const WearStats wb = shared.wear();
-  EXPECT_EQ(wa.total_line_writes, wb.total_line_writes);
-  EXPECT_EQ(wa.max_line_writes, wb.max_line_writes);
-  EXPECT_EQ(wa.lines_touched, wb.lines_touched);
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (int i = 0; i < 30000; i++) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const uint64_t off = x % (kCapacity - 512);
+    const size_t n = 1 + (x >> 32) % 100;  // mostly single-line
+    const uint64_t virt = (uint64_t{1} << 45) + off;
+    switch (x % 5) {
+      case 0:
+        device.TouchRead(device.PtrAt(off), n);
+        bare_access(off, n, false);
+        break;
+      case 1:
+        device.TouchWrite(device.PtrAt(off), n);
+        bare_access(off, n, true);
+        break;
+      case 2:
+        device.TouchVirtual(reinterpret_cast<void*>(virt), n, (x & 2) != 0);
+        bare_access(virt, n, (x & 2) != 0);
+        break;
+      case 3:
+        device.Write(off, &x, 8);
+        bare_access(off, 8, true);
+        break;
+      default:
+        device.Persist(off, n);
+        bare_stall_ns += bare.FlushRange(off, n, !lat.use_clwb) * store_ns +
+                         lat.sync_latency_ns;
+        break;
+    }
+  }
+
+  const NvmCounters c = device.counters();
+  EXPECT_EQ(c.loads, bare.misses());
+  EXPECT_EQ(c.stores, bare.write_backs());
+  EXPECT_EQ(c.hits, bare.hits());
+  EXPECT_EQ(c.stall_ns, bare_stall_ns);
+  EXPECT_GT(c.hits, 0u);  // the fast path actually fired
+  WearStats expected;
+  for (const uint32_t w : wear) {
+    if (w == 0) continue;
+    expected.total_line_writes += w;
+    expected.lines_touched++;
+    expected.max_line_writes = std::max<uint64_t>(expected.max_line_writes, w);
+  }
+  const WearStats got = device.wear();
+  EXPECT_EQ(got.total_line_writes, expected.total_line_writes);
+  EXPECT_EQ(got.max_line_writes, expected.max_line_writes);
+  EXPECT_EQ(got.lines_touched, expected.lines_touched);
+  EXPECT_GT(got.total_line_writes, 0u);
 }
 
 TEST_F(NvmDeviceTest, OffsetPointerRoundTrip) {

@@ -19,16 +19,23 @@ TEST_P(TestbedTest, MultiPartitionRun) {
   const TableDef def = SimpleTable();
   ASSERT_TRUE(db->CreateTable(def).ok());
 
-  // Each partition inserts its own key range concurrently.
+  // Each partition inserts its own key range concurrently. The table
+  // definition rides in the queue context, the key in the POD task.
+  const auto shared_def = std::make_shared<const TableDef>(def);
   std::vector<TxnQueue> queues(4);
   for (size_t p = 0; p < 4; p++) {
+    queues[p].ctx = shared_def;
     for (uint64_t i = 0; i < 100; i++) {
-      const uint64_t key = p * 1000 + i;
-      const Schema* schema = &def.schema;
-      queues[p].PushBody([key, schema](StorageEngine* engine, uint64_t txn) {
-        return engine->Insert(txn, 1, SimpleTuple(schema, key, "w", key))
+      TxnTask task;
+      task.fn = [](const TxnTask& t, const TxnQueue& queue,
+                   StorageEngine* engine, uint64_t txn, TxnScratch*) {
+        const Schema* schema =
+            &static_cast<const TableDef*>(queue.ctx.get())->schema;
+        return engine->Insert(txn, 1, SimpleTuple(schema, t.key, "w", t.key))
             .ok();
-      });
+      };
+      task.key = p * 1000 + i;
+      queues[p].tasks.push_back(task);
     }
   }
   Coordinator coordinator(db.get());
@@ -53,8 +60,10 @@ TEST_P(TestbedTest, AbortedTasksCounted) {
   auto db = testutil::MakeDb(GetParam(), 1);
   ASSERT_TRUE(db->CreateTable(SimpleTable()).ok());
   std::vector<TxnQueue> queues(1);
-  queues[0].PushBody(
-      [](StorageEngine*, uint64_t) { return false; /* abort */ });
+  TxnTask task;
+  task.fn = [](const TxnTask&, const TxnQueue&, StorageEngine*, uint64_t,
+               TxnScratch*) { return false; /* abort */ };
+  queues[0].tasks.push_back(task);
   Coordinator coordinator(db.get());
   const RunResult result = coordinator.Run(queues);
   EXPECT_EQ(result.committed, 0u);
