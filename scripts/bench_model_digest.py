@@ -13,7 +13,9 @@ model change regenerates that file with this script and gives the reason
 in CHANGES.md.
 
 Excluded as host-dependent: jobs, wall_ns, load_ns, run_ns,
-sim_wall_ratio, total_wall_ns, total_sim_wall_ratio.
+sim_wall_ratio, total_wall_ns, total_sim_wall_ratio, and the
+recovery_ms metric of bench_fig12_recovery (recovery latency includes
+host time).
 
 Everything else is model output and *stays in the digest* — notably the
 per-cell "latency" object (histogram-derived response-time percentiles
@@ -43,6 +45,7 @@ WALL_FIELDS = {
     "sim_wall_ratio",
     "total_wall_ns",
     "total_sim_wall_ratio",
+    "recovery_ms",
 }
 
 

@@ -1,8 +1,11 @@
 #include "nvm/nvm_device.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstdlib>
 
 #include "nvm/crash_sim.h"
@@ -11,21 +14,22 @@ namespace nvmdb {
 
 namespace {
 
-/// Zero-filled region that only costs page faults for the bytes actually
-/// touched. Falls back to calloc if mmap is unavailable.
+[[noreturn]] void DieErrno(const char* what) {
+  std::perror(what);
+  std::abort();
+}
+
+/// Zero-filled private anonymous mapping that only costs page faults for
+/// the bytes actually touched. Crash() relies on MADV_DONTNEED returning
+/// its pages to zero, so there is no fallback to another kind of memory.
 void* AllocZeroed(size_t bytes) {
   void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  if (p != MAP_FAILED) return p;
-  p = calloc(1, bytes);
-  assert(p != nullptr);
+  if (p == MAP_FAILED) DieErrno("nvmdb: NvmDevice mmap");
   return p;
 }
 
-void FreeZeroed(void* p, size_t bytes) {
-  if (p == nullptr) return;
-  if (munmap(p, bytes) != 0) free(p);
-}
+void FreeZeroed(void* p, size_t bytes) { munmap(p, bytes); }
 
 }  // namespace
 
@@ -65,6 +69,11 @@ NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
   // eagerly-constructed new[].
   line_writes_ = static_cast<uint32_t*>(
       AllocZeroed((capacity_ / 64 + 1) * sizeof(uint32_t)));
+  const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  assert(page != 0 && (page & (page - 1)) == 0);
+  page_shift_ = static_cast<unsigned>(__builtin_ctzll(page));
+  num_pages_ = (capacity_ + page - 1) >> page_shift_;
+  durable_pages_.assign((num_pages_ + 63) / 64, 0);
 
   CacheCallbacks callbacks;
   callbacks.write_back = &NvmDevice::OnWriteBack;
@@ -96,6 +105,7 @@ void NvmDevice::OnWriteBack(void* ctx, uint64_t line_addr,
   // through TouchVirtual) have no durable bytes but still cost a store.
   NvmDevice* const d = static_cast<NvmDevice*>(ctx);
   if (line_addr + line_size <= d->capacity_) {
+    d->MarkDurable(line_addr, line_size);
     memcpy(d->durable_ + line_addr, d->working_ + line_addr, line_size);
     d->line_writes_[line_addr / 64]++;
   }
@@ -190,6 +200,7 @@ void NvmDevice::Persist(uint64_t offset, size_t n) {
   const uint64_t first = offset / ls * ls;
   uint64_t last_end = (offset + n + ls - 1) / ls * ls;
   if (last_end > capacity_) last_end = capacity_;
+  MarkDurable(first, last_end - first);
   memcpy(durable_ + first, working_ + first, last_end - first);
   // Write-back bandwidth plus SFENCE + flush latency, in one accumulation.
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
@@ -205,6 +216,7 @@ void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
   const size_t flushed = FlushLines(offset, 8);
   // The durable copy of an aligned 8-byte store is itself atomic: either
   // the old or the new value survives a crash, never a torn mix.
+  MarkDurable(offset, 8);
   memcpy(durable_ + offset, &value, 8);
   ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
   sync_calls_++;
@@ -214,13 +226,31 @@ void NvmDevice::Crash() {
   // Dirty cached lines die with the caches; the working image reverts to
   // exactly what had been made durable.
   cache_->DropDirty();
-  memcpy(working_, durable_, capacity_);
+  // One pass over runs of equally-marked pages. A marked run is copied
+  // back from the durable image; an unmarked run is all zero there, so the
+  // working pages are dropped instead and read back as zero — untouched
+  // pages of either image are never faulted in.
+  for (uint64_t p = 0; p < num_pages_;) {
+    const bool marked = IsDurablePage(p);
+    uint64_t q = p + 1;
+    while (q < num_pages_ && IsDurablePage(q) == marked) q++;
+    const uint64_t begin = p << page_shift_;
+    if (marked) {
+      const uint64_t end = std::min<uint64_t>(q << page_shift_, capacity_);
+      memcpy(working_ + begin, durable_ + begin, end - begin);
+    } else if (madvise(working_ + begin, (q - p) << page_shift_,
+                       MADV_DONTNEED) != 0) {
+      DieErrno("nvmdb: NvmDevice::Crash madvise");
+    }
+    p = q;
+  }
 }
 
 void NvmDevice::RestoreImages(const uint8_t* image, size_t n) {
   assert(n == capacity_);
   (void)n;
   cache_->DropDirty();
+  MarkDurable(0, capacity_);
   memcpy(durable_, image, capacity_);
   memcpy(working_, image, capacity_);
 }
@@ -228,6 +258,7 @@ void NvmDevice::RestoreImages(const uint8_t* image, size_t n) {
 void NvmDevice::FlushAll() {
   const size_t flushed = cache_->WriteBackAll();
   ChargeStall(flushed * StoreCostNs());
+  MarkDurable(0, capacity_);
   memcpy(durable_, working_, capacity_);
 }
 

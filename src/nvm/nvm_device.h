@@ -88,6 +88,12 @@ struct NvmCounters {
 /// durable one, so recovery code observes exactly the bytes that were made
 /// durable — torn multi-line writes and lost unflushed updates included.
 ///
+/// A bitmap with one bit per OS page records which pages of the durable
+/// image have ever been written; an unmarked page is all zero there. So
+/// `Crash()` copies only the marked pages and drops the working image's
+/// unmarked pages (they read back as zero), costing host time in
+/// proportion to what was made durable rather than to the capacity.
+///
 /// Like its CacheSim, a device is thread-confined: one thread drives it
 /// (debug builds abort on a second), so every counter is a plain integer
 /// and single-line cache hits and flushes take the cache's inline fast
@@ -214,7 +220,9 @@ class NvmDevice {
 
   // --- Crash / restart -----------------------------------------------------
 
-  /// Simulate power failure: every byte not yet written back is lost.
+  /// Simulate power failure: every byte not yet written back is lost. The
+  /// working image becomes byte-for-byte the durable image, bytes stored
+  /// through raw PtrAt() pointers included.
   void Crash();
 
   /// Crash onto an externally captured durable image (a CrashSim
@@ -313,14 +321,32 @@ class NvmDevice {
   /// site, not here.
   static void OnWriteBack(void* ctx, uint64_t line_addr, size_t line_size);
 
+  /// Record that [offset, offset+n) of the durable image is about to be
+  /// written. Every write to durable_ goes through a caller of this, which
+  /// is what makes "unmarked page => all zero" exact.
+  void MarkDurable(uint64_t offset, size_t n) {
+    const uint64_t last = (offset + n - 1) >> page_shift_;
+    for (uint64_t p = offset >> page_shift_; p <= last; p++) {
+      durable_pages_[p >> 6] |= uint64_t{1} << (p & 63);
+    }
+  }
+  bool IsDurablePage(uint64_t page) const {
+    return (durable_pages_[page >> 6] >> (page & 63)) & 1;
+  }
+
   size_t capacity_;
   // Working/durable images and the per-line wear array are lazily-zeroed
-  // anonymous mappings: a fresh device costs no page-touch proportional to
-  // capacity, only to the bytes actually used (the seed's new[]+memset
-  // burned ~1.5 GB of page faults per benchmark database).
+  // private anonymous mappings: a fresh device costs no page-touch
+  // proportional to capacity, only to the bytes actually used, and Crash()
+  // can return working pages to the zero page with MADV_DONTNEED.
   uint8_t* working_ = nullptr;
   uint8_t* durable_ = nullptr;
   uint32_t* line_writes_ = nullptr;  // wear per line
+  /// log2 of the OS page size, the granularity of durable_pages_.
+  unsigned page_shift_ = 0;
+  size_t num_pages_ = 0;
+  /// One bit per page of durable_: set once any byte of it was written.
+  std::vector<uint64_t> durable_pages_;
   NvmLatencyConfig latency_;
   std::unique_ptr<CacheSim> cache_;
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -142,6 +144,25 @@ TEST(CacheSimOwnerDeathTest, CrossThreadAccessAbortsInDebug) {
 
 // --- NvmDevice ---------------------------------------------------------------
 
+/// Crash() copies back only the pages the durable image ever received and
+/// drops the rest of the working image; after it, the two images must be
+/// equal over the whole device.
+void ExpectImagesEqual(const NvmDevice& device) {
+  EXPECT_EQ(std::memcmp(device.working_image(), device.durable_image(),
+                        device.capacity()),
+            0);
+}
+
+uint64_t Load64(const NvmDevice& device, uint64_t offset) {
+  uint64_t v;
+  std::memcpy(&v, device.working_image() + offset, 8);
+  return v;
+}
+
+/// Far enough apart that each slot is its own OS page for any page size up
+/// to 64 KB, so "a page that was never durable" holds by construction.
+constexpr uint64_t kPageSlot = 64 << 10;
+
 class NvmDeviceTest : public ::testing::Test {
  protected:
   NvmDeviceTest() : device_(1 << 20, NvmLatencyConfig::LowNvm()) {}
@@ -160,6 +181,7 @@ TEST_F(NvmDeviceTest, UnpersistedWritesAreLostOnCrash) {
   const char data[] = "volatile!";
   device_.Write(4096, data, sizeof(data));
   device_.Crash();
+  ExpectImagesEqual(device_);
   char out[sizeof(data)] = {};
   device_.Read(4096, out, sizeof(data));
   EXPECT_EQ(out[0], '\0');
@@ -170,6 +192,7 @@ TEST_F(NvmDeviceTest, PersistedWritesSurviveCrash) {
   device_.Write(4096, data, sizeof(data));
   device_.Persist(4096, sizeof(data));
   device_.Crash();
+  ExpectImagesEqual(device_);
   char out[sizeof(data)] = {};
   device_.Read(4096, out, sizeof(data));
   EXPECT_STREQ(out, "durable");
@@ -186,6 +209,7 @@ TEST_F(NvmDeviceTest, EvictedDirtyLinesSurviveCrash) {
     device.Write(i * 64, &v, 8);
   }
   device.Crash();
+  ExpectImagesEqual(device);
   size_t survived = 0;
   for (uint64_t i = 0; i < 1024; i++) {
     uint64_t v = 0;
@@ -201,20 +225,125 @@ TEST_F(NvmDeviceTest, EvictedDirtyLinesSurviveCrash) {
 TEST_F(NvmDeviceTest, AtomicPersistWrite64) {
   device_.AtomicPersistWrite64(512, 0xDEADBEEFCAFEF00DULL);
   device_.Crash();
+  ExpectImagesEqual(device_);
   uint64_t v = 0;
   device_.Read(512, &v, 8);
   EXPECT_EQ(v, 0xDEADBEEFCAFEF00DULL);
 }
 
 TEST_F(NvmDeviceTest, FlushAllMakesEverythingDurable) {
+  const uint64_t kRaw = 0x8888;
   for (uint64_t i = 0; i < 100; i++) device_.Write(i * 128, &i, 8);
+  std::memcpy(device_.PtrAt(9 * kPageSlot), &kRaw, 8);  // uninstrumented
   device_.FlushAll();
   device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(Load64(device_, 9 * kPageSlot), kRaw);
   for (uint64_t i = 0; i < 100; i++) {
     uint64_t v = ~0ull;
     device_.Read(i * 128, &v, 8);
     EXPECT_EQ(v, i);
   }
+}
+
+TEST_F(NvmDeviceTest, RawStoreToNeverDurablePageRevertsOnCrash) {
+  // Uninstrumented: no cache line is dirtied, nothing is ever written back.
+  std::memset(device_.PtrAt(5 * kPageSlot), 0xAB, 3000);
+  device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(Load64(device_, 5 * kPageSlot), 0u);
+  EXPECT_EQ(Load64(device_, 5 * kPageSlot + 2992), 0u);
+}
+
+TEST_F(NvmDeviceTest, PartlyDurablePageKeepsOnlyPersistedLine) {
+  const uint64_t kept = 0x2222, lost = 0x3333;
+  device_.Write(7 * kPageSlot, &kept, 8);
+  device_.Persist(7 * kPageSlot, 8);
+  device_.Write(7 * kPageSlot + 64, &lost, 8);
+  std::memcpy(device_.PtrAt(7 * kPageSlot + 256), &lost, 8);  // raw store
+  device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(Load64(device_, 7 * kPageSlot), kept);
+  EXPECT_EQ(Load64(device_, 7 * kPageSlot + 64), 0u);
+  EXPECT_EQ(Load64(device_, 7 * kPageSlot + 256), 0u);
+}
+
+TEST_F(NvmDeviceTest, PersistedRawStoreSurvivesCrash) {
+  // No dirty cache line to write back: only Persist's own mirror of the
+  // range makes these bytes durable.
+  const uint64_t v = 0x2A2A;
+  std::memcpy(device_.PtrAt(8 * kPageSlot + 64), &v, 8);
+  device_.Persist(8 * kPageSlot + 64, 8);
+  device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(Load64(device_, 8 * kPageSlot + 64), v);
+}
+
+TEST_F(NvmDeviceTest, RestoredImageSurvivesCrash) {
+  std::vector<uint8_t> image(device_.capacity(), 0);
+  std::memset(image.data() + 13 * kPageSlot + 100, 0x6C, 500);
+  device_.RestoreImages(image.data(), image.size());
+  const uint64_t v = 0x7777;
+  device_.Write(13 * kPageSlot + 100, &v, 8);  // volatile, lost below
+  device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(std::memcmp(device_.working_image(), image.data(), image.size()),
+            0);
+}
+
+TEST_F(NvmDeviceTest, SecondCrashChangesNothing) {
+  const uint64_t v = 0x9999;
+  device_.Write(kPageSlot, &v, 8);
+  device_.Persist(kPageSlot, 8);
+  device_.Write(kPageSlot + 64, &v, 8);
+  device_.Write(6 * kPageSlot, &v, 8);
+  device_.Crash();
+  const std::vector<uint8_t> first(
+      device_.working_image(), device_.working_image() + device_.capacity());
+  device_.Crash();
+  ExpectImagesEqual(device_);
+  EXPECT_EQ(std::memcmp(device_.working_image(), first.data(), first.size()),
+            0);
+  EXPECT_EQ(Load64(device_, kPageSlot), v);
+  EXPECT_EQ(Load64(device_, kPageSlot + 64), 0u);
+  EXPECT_EQ(Load64(device_, 6 * kPageSlot), 0u);
+}
+
+long MinorFaults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+long ResidentPages() {
+  long size = 0, resident = 0;
+  FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return 0;
+  if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) resident = 0;
+  std::fclose(f);
+  return resident;
+}
+
+TEST(CrashCostTest, CrashFaultsInOnlyDurablePages) {
+  // A copy of the whole 256 MB image faults in 2 x 65536 4 KB pages (and
+  // makes 256 MB of the working image resident); Crash() after one
+  // persisted line must touch a handful. The resident-size check also
+  // catches a full copy on hosts whose transparent huge pages turn those
+  // faults into a few hundred 2 MB ones.
+  CacheConfig cache;
+  cache.capacity_bytes = 64 * 1024;
+  NvmDevice device(256ull << 20, NvmLatencyConfig::Dram(), cache);
+  const uint64_t v = 42;
+  device.Write(100ull << 20, &v, 8);
+  device.Persist(100ull << 20, 8);
+  const long faults_before = MinorFaults();
+  const long resident_before = ResidentPages();
+  device.Crash();
+  EXPECT_LT(MinorFaults() - faults_before, 256);
+  EXPECT_LT(ResidentPages() - resident_before, 1024);  // 4 MB of 4 KB pages
+  uint64_t out = 0;
+  device.Read(100ull << 20, &out, 8);
+  EXPECT_EQ(out, v);
 }
 
 TEST_F(NvmDeviceTest, CountersTrackLoadsAndStores) {
