@@ -17,8 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "nvm/crash_sim.h"
 #include "bench_util.h"
+#include "nvm/crash_sim.h"
+#include "testbed/coordinator.h"
+#include "workload/tpcc.h"
+#include "workload/ycsb.h"
 
 using namespace nvmdb;
 using namespace nvmdb::bench;
@@ -167,8 +170,7 @@ int main(int argc, char** argv) {
   // concurrent cells would time each other's contention.
   const char* const workloads[] = {"ycsb", "tpcc"};
   std::vector<uint64_t> recovery_ns;
-  BenchRunner runner("fig12_recovery", /*jobs=*/1);
-  AddScaleContext(&runner);
+  BenchRunner runner(/*jobs=*/1);
   for (const char* workload : workloads) {
     for (uint64_t txns : txn_counts) {
       for (EngineKind engine : AllEngines()) {
@@ -189,6 +191,8 @@ int main(int argc, char** argv) {
     }
   }
   runner.Wait();
+  WriteBenchReport("fig12_recovery", runner.jobs(), ScaleContext(),
+                   runner.cells());
 
   size_t idx = 0;
   for (const char* workload : workloads) {

@@ -2,17 +2,13 @@
 
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
-#include "common/timer.h"
 #include "testbed/bench_runner.h"
-#include "testbed/coordinator.h"
+#include "testbed/database.h"
 #include "testbed/stats.h"
-#include "workload/tpcc.h"
-#include "workload/ycsb.h"
 
 namespace nvmdb {
 namespace bench {
@@ -78,18 +74,20 @@ inline double DeriveThroughput(uint64_t committed, uint64_t wall_ns,
   return secs <= 0 ? 0 : static_cast<double>(committed) / secs;
 }
 
-/// Everything one workload execution produces.
+/// Everything one cell execution produces. Each cell kind (see
+/// cell_registry.h) fills the fields it measures and leaves the rest 0.
 struct BenchRun {
-  bool ok = false;  // false => load or run failed; results are zeroed
   uint64_t committed = 0;
   uint64_t aborted = 0;
   uint64_t wall_ns = 0;       // measured (run) phase, host clock
-  uint64_t load_wall_ns = 0;  // initial load phase, host clock
+  uint64_t load_wall_ns = 0;  // initial load / setup phase, host clock
   CounterDelta counters;        // during the measured phase
   CounterDelta load_counters;   // during initial load
   LatencySummary latency;       // response latency on the simulated clock
   FootprintStats footprint;
-  uint64_t recovery_ns = 0;     // only set by recovery benches
+  WearStats wear;               // device wear over the measured phase
+  double op_bytes[3] = {};      // NVM bytes per insert / update / delete
+  double mb_per_s = 0;          // durable write bandwidth (Fig. 1 points)
 };
 
 /// Process-wide benchmark failure flag. Workload helpers record failures
@@ -127,93 +125,6 @@ inline DatabaseConfig MakeDbConfig(EngineKind engine) {
       EnvU64("NVMDB_SYNC_NS", cfg.latency.sync_latency_ns);
   cfg.engine = engine;
   return cfg;
-}
-
-/// Load + run one YCSB configuration on a fresh database.
-inline BenchRun RunYcsb(EngineKind engine, YcsbMixture mixture,
-                        YcsbSkew skew,
-                        const EngineConfig& engine_overrides = {}) {
-  DatabaseConfig cfg = MakeDbConfig(engine);
-  // Whole-struct assignment: an earlier version copied a hand-picked list
-  // of fields, so knobs added to EngineConfig later (use_bloom_filters,
-  // checkpoint_interval_txns, ...) were silently dropped here. The
-  // database overrides the allocator/fs/namespace fields per partition
-  // anyway (Database::InstantiateEngines), so copying everything is safe.
-  cfg.engine_config = engine_overrides;
-
-  auto db = std::make_unique<Database>(cfg);
-  YcsbConfig ycfg;
-  ycfg.num_tuples = Scale().ycsb_tuples;
-  ycfg.num_txns = Scale().ycsb_txns;
-  ycfg.num_partitions = cfg.num_partitions;
-  ycfg.mixture = mixture;
-  ycfg.skew = skew;
-  YcsbWorkload workload(ycfg);
-
-  BenchRun run;
-  {
-    Stopwatch load_watch;
-    CounterSampler sampler(db->device());
-    Status s = workload.Load(db.get());
-    if (!s.ok()) {
-      ReportFailure("YCSB load", s);
-      return run;
-    }
-    run.load_counters = sampler.Delta();
-    run.load_wall_ns = load_watch.ElapsedNanos();
-  }
-
-  Coordinator coordinator(db.get());
-  CounterSampler sampler(db->device());
-  const RunResult result = coordinator.Run(workload.GenerateQueues());
-  run.counters = sampler.Delta();
-  run.committed = result.committed;
-  run.aborted = result.aborted;
-  run.wall_ns = result.wall_ns;
-  run.latency = result.latency;
-  run.footprint = db->Footprint();
-  run.ok = true;
-  return run;
-}
-
-/// Load + run TPC-C on a fresh database.
-inline BenchRun RunTpcc(EngineKind engine) {
-  DatabaseConfig cfg = MakeDbConfig(engine);
-  // TPC-C inserts grow the database and WAL without bound, so the InP
-  // engine must take periodic compressed checkpoints (Section 3.1) to
-  // bound recovery latency and fit the log in the device. YCSB runs leave
-  // checkpointing off — at the paper's scale its cost amortizes away.
-  cfg.engine_config.checkpoint_interval_txns =
-      EnvU64("NVMDB_CKPT_INTERVAL", 1000);
-  auto db = std::make_unique<Database>(cfg);
-  TpccConfig tcfg;
-  tcfg.num_warehouses = cfg.num_partitions;
-  tcfg.num_txns = Scale().tpcc_txns;
-  TpccWorkload workload(tcfg);
-
-  BenchRun run;
-  {
-    Stopwatch load_watch;
-    CounterSampler sampler(db->device());
-    Status s = workload.Load(db.get());
-    if (!s.ok()) {
-      ReportFailure("TPC-C load", s);
-      return run;
-    }
-    run.load_counters = sampler.Delta();
-    run.load_wall_ns = load_watch.ElapsedNanos();
-  }
-  Coordinator coordinator(db.get());
-  CounterSampler sampler(db->device());
-  const RunResult result = coordinator.Run(workload.GenerateQueues());
-  run.counters = sampler.Delta();
-  run.committed = result.committed;
-  run.aborted = result.aborted;
-  run.wall_ns = result.wall_ns;
-  run.latency = result.latency;
-  run.footprint = db->Footprint();
-  run.ok = true;
-  return run;
 }
 
 inline const std::vector<EngineKind>& AllEngines() {
@@ -254,43 +165,13 @@ inline void ReportClocks(const char* label, const ClockTotals& totals) {
           FormatClockComparison(totals.wall_ns, totals.sim_ns).c_str());
 }
 
-/// Build a BenchCell (the grid scheduler's result record — see
-/// testbed/bench_runner.h) from a workload execution: grid key, commit
-/// counts, the simulated time the cell advanced the model clock, and the
-/// derived throughput under each paper latency profile.
-inline BenchCell CellFromRun(
-    std::vector<std::pair<std::string, std::string>> key,
-    const BenchRun& run, size_t workers) {
-  BenchCell cell;
-  cell.key = std::move(key);
-  cell.committed = run.committed;
-  cell.aborted = run.aborted;
-  cell.sim_ns = run.load_counters.stall_ns + run.counters.stall_ns;
-  cell.load_ns = run.load_wall_ns;
-  cell.run_ns = run.wall_ns;
-  cell.latency = run.latency;
-  cell.stalls = run.counters.tags;
-  const char* slugs[3] = {"tps_dram", "tps_low_nvm", "tps_high_nvm"};
-  const auto latencies = PaperLatencies();
-  for (size_t i = 0; i < latencies.size() && i < 3; i++) {
-    cell.metrics.emplace_back(
-        slugs[i], DeriveThroughput(run.committed, run.wall_ns, run.counters,
-                                   latencies[i].config, workers));
-  }
-  cell.metrics.emplace_back("loads",
-                            static_cast<double>(run.counters.loads));
-  cell.metrics.emplace_back("stores",
-                            static_cast<double>(run.counters.stores));
-  return cell;
-}
-
-/// Record the scale knobs in the runner's JSON report so a result file is
+/// The scale knobs as report context, so a result file is
 /// self-describing.
-inline void AddScaleContext(BenchRunner* runner) {
-  runner->AddContext("ycsb_tuples", std::to_string(Scale().ycsb_tuples));
-  runner->AddContext("ycsb_txns", std::to_string(Scale().ycsb_txns));
-  runner->AddContext("tpcc_txns", std::to_string(Scale().tpcc_txns));
-  runner->AddContext("partitions", std::to_string(Scale().partitions));
+inline std::vector<std::pair<std::string, std::string>> ScaleContext() {
+  return {{"ycsb_tuples", std::to_string(Scale().ycsb_tuples)},
+          {"ycsb_txns", std::to_string(Scale().ycsb_txns)},
+          {"tpcc_txns", std::to_string(Scale().tpcc_txns)},
+          {"partitions", std::to_string(Scale().partitions)}};
 }
 
 inline void PrintHeader(const char* title) {

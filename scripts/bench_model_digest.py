@@ -15,7 +15,10 @@ in CHANGES.md.
 Excluded as host-dependent: jobs, wall_ns, load_ns, run_ns,
 sim_wall_ratio, total_wall_ns, total_sim_wall_ratio, and the
 recovery_ms metric of bench_fig12_recovery (recovery latency includes
-host time).
+host time). Also excluded: cell_id, the cell-registry key naming the
+executed configuration (bookkeeping that lets bench_summary.py count a
+cell shared by several figures once; the cell's figure key and its model
+fields are what the digest pins).
 
 Everything else is model output and *stays in the digest* — notably the
 per-cell "latency" object (histogram-derived response-time percentiles
@@ -46,6 +49,7 @@ WALL_FIELDS = {
     "total_wall_ns",
     "total_sim_wall_ratio",
     "recovery_ms",
+    "cell_id",
 }
 
 

@@ -1,24 +1,34 @@
 #!/usr/bin/env python3
-"""Merge the per-benchmark BENCH_<name>.json reports into one summary row.
+"""Merge the per-figure BENCH_<name>.json reports into one summary row.
 
-Each figure benchmark writes a machine-readable report (see
-testbed/bench_runner.h) with one entry per grid cell: the cell key, commit
-counts, simulated nanoseconds, host wall nanoseconds, and derived metrics
-such as throughput per latency profile. This script folds a directory of
-those reports into a single flat JSON object — one "trajectory row" a
-plotting or regression-tracking pipeline can append per commit:
+Each figure writes a machine-readable report (see testbed/bench_runner.h)
+with one entry per cell: the cell key, commit counts, simulated
+nanoseconds, host wall nanoseconds, and derived metrics such as throughput
+per latency profile. This script folds a directory of those reports into
+a single flat JSON object — one "trajectory row" a plotting or
+regression-tracking pipeline can append per commit.
+
+nvmdb_bench executes each distinct configuration once and lets several
+figures print it (Figs. 9-10 read the Fig. 5-7 cells, for example), so
+one executed cell can appear in several reports under the same
+"cell_id". The suite totals count such a cell once: "cells" is the
+number of executed cells, and "committed", "aborted" and every total_*
+field sum over executed cells. Cells without a "cell_id" (Fig. 12)
+count once per appearance. The per-bench "wall_ns" is each report's own
+total and so includes the cells it shares. A full `nvmdb_bench` run
+gives:
 
   {
-    "benches": 11,
-    "cells": 274,
+    "benches": 12,
+    "cells": 202,
     "committed": 1234567,
     "total_wall_ns": ...,          # harness cost of the whole suite
     "total_sim_ns": ...,           # modeled time the suite produced
     "total_load_ns": ...,          # wall time in cell load phases
     "total_run_ns": ...,           # wall time in cell measured phases
     "sim_wall_ratio": ...,         # simulator speed (higher = faster)
-    "jobs": {"fig08_tpcc": 8, ...},
-    "wall_ns": {"fig08_tpcc": ..., ...},   # per-bench harness cost
+    "jobs": {"fig08_tpcc": 4, ...},
+    "wall_ns": {"fig08_tpcc": ..., ...},   # per-figure cell wall time
     "tps_low_nvm": {"fig05_07_ycsb/read-only low InP": 117153.0, ...},
     "latency_p50_ns": {"fig05_07_ycsb/read-only low InP": 1536, ...},
     "latency_p99_ns": {...}, "latency_p999_ns": {...},
@@ -29,7 +39,7 @@ plotting or regression-tracking pipeline can append per commit:
 Latency percentiles come from each cell's "latency" object (simulated
 clock, histogram bucket lower bounds — see common/histogram.h); cells
 without a transaction run (count == 0, e.g. microbenchmarks) are
-omitted. "stalls_ns" sums each cell's per-component stall attribution
+omitted. "stalls_ns" sums each executed cell's per-component stall attribution
 ("stalls" object) across the whole suite.
 
 With --baseline DIR (a directory of BENCH_*.json from another build, e.g.
@@ -83,18 +93,27 @@ def summarize(reports, metric_names):
     latency_cols = {"latency_p50_ns": {}, "latency_p99_ns": {},
                     "latency_p999_ns": {}}
     stalls_total = {}
+    seen_ids = set()
     for report in reports:
         bench = report.get("bench", "?")
         row["jobs"][bench] = report.get("jobs", 0)
         row["wall_ns"][bench] = report.get("total_wall_ns", 0)
-        row["total_wall_ns"] += report.get("total_wall_ns", 0)
-        row["total_sim_ns"] += report.get("total_sim_ns", 0)
         for cell in report.get("cells", []):
-            row["cells"] += 1
-            row["committed"] += cell.get("committed", 0)
-            row["aborted"] += cell.get("aborted", 0)
-            row["total_load_ns"] += cell.get("load_ns", 0)
-            row["total_run_ns"] += cell.get("run_ns", 0)
+            cell_id = cell.get("cell_id")
+            executed = cell_id is None or cell_id not in seen_ids
+            if cell_id is not None:
+                seen_ids.add(cell_id)
+            if executed:
+                row["cells"] += 1
+                row["committed"] += cell.get("committed", 0)
+                row["aborted"] += cell.get("aborted", 0)
+                row["total_wall_ns"] += cell.get("wall_ns", 0)
+                row["total_sim_ns"] += cell.get("sim_ns", 0)
+                row["total_load_ns"] += cell.get("load_ns", 0)
+                row["total_run_ns"] += cell.get("run_ns", 0)
+                for key, value in cell.get("stalls", {}).items():
+                    tag = key[:-3] if key.endswith("_ns") else key
+                    stalls_total[tag] = stalls_total.get(tag, 0) + value
             latency = cell.get("latency", {})
             if latency.get("count", 0) > 0:
                 label = f"{bench}/{cell_label(cell)}"
@@ -102,9 +121,6 @@ def summarize(reports, metric_names):
                     latency_cols[f"latency_{pct}_ns"][label] = latency.get(
                         f"{pct}_ns", 0
                     )
-            for key, value in cell.get("stalls", {}).items():
-                tag = key[:-3] if key.endswith("_ns") else key
-                stalls_total[tag] = stalls_total.get(tag, 0) + value
             for name in metric_names:
                 value = cell.get("metrics", {}).get(name)
                 if value is not None:

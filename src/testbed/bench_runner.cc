@@ -60,22 +60,15 @@ std::string BenchCell::Label() const {
   return out;
 }
 
-BenchRunner::BenchRunner(std::string bench_name, size_t jobs)
-    : bench_name_(std::move(bench_name)),
-      jobs_(jobs == 0 ? EnvJobs() : jobs) {}
-
-BenchRunner::~BenchRunner() {
-  Wait();
-  if (!reported_) WriteReport();
-}
+BenchRunner::BenchRunner(size_t jobs)
+    : jobs_(jobs == 0 ? EnvJobs() : jobs) {}
 
 size_t BenchRunner::Submit(std::function<BenchCell()> body) {
   tasks_.push_back(std::move(body));
-  waited_ = false;
   return tasks_.size() - 1;
 }
 
-void BenchRunner::RunPending() {
+void BenchRunner::Wait() {
   const size_t first = cells_.size();
   const size_t count = tasks_.size() - first;
   cells_.resize(tasks_.size());
@@ -115,12 +108,6 @@ void BenchRunner::RunPending() {
   }
 }
 
-void BenchRunner::Wait() {
-  if (waited_) return;
-  RunPending();
-  waited_ = true;
-}
-
 void BenchRunner::PrintProgress(const BenchCell& cell) {
   // Stderr, single printf per line (and under the caller's lock), so
   // concurrent cells never interleave mid-line; stdout stays reserved for
@@ -131,49 +118,35 @@ void BenchRunner::PrintProgress(const BenchCell& cell) {
                cell.SimWallRatio());
 }
 
-void BenchRunner::AddContext(const std::string& key,
-                             const std::string& value) {
-  context_.emplace_back(key, value);
-}
-
-uint64_t BenchRunner::TotalWallNs() const {
-  uint64_t sum = 0;
-  for (const BenchCell& c : cells_) sum += c.wall_ns;
-  return sum;
-}
-
-uint64_t BenchRunner::TotalSimNs() const {
-  uint64_t sum = 0;
-  for (const BenchCell& c : cells_) sum += c.sim_ns;
-  return sum;
-}
-
-std::string BenchRunner::WriteReport() {
-  Wait();
-  reported_ = true;
+std::string WriteBenchReport(
+    const std::string& bench_name, size_t jobs,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<BenchCell>& cells) {
   const char* dir_env = std::getenv("NVMDB_BENCH_JSON_DIR");
   std::string dir = dir_env == nullptr ? "." : dir_env;
   if (dir.empty()) return "";  // reports disabled
-  const std::string path = dir + "/BENCH_" + bench_name_ + ".json";
+  const std::string path = dir + "/BENCH_" + bench_name + ".json";
 
   std::string out;
   out.reserve(4096);
   out += "{\n";
-  out += "  \"bench\": \"" + JsonEscape(bench_name_) + "\",\n";
-  out += "  \"jobs\": " + std::to_string(jobs_) + ",\n";
-  for (const auto& [k, v] : context_) {
+  out += "  \"bench\": \"" + JsonEscape(bench_name) + "\",\n";
+  out += "  \"jobs\": " + std::to_string(jobs) + ",\n";
+  for (const auto& [k, v] : context) {
     out += "  \"" + JsonEscape(k) + "\": \"" + JsonEscape(v) + "\",\n";
   }
   out += "  \"cells\": [\n";
-  for (size_t i = 0; i < cells_.size(); i++) {
-    const BenchCell& c = cells_[i];
+  for (size_t i = 0; i < cells.size(); i++) {
+    const BenchCell& c = cells[i];
     out += "    {\"key\": {";
     for (size_t j = 0; j < c.key.size(); j++) {
       if (j > 0) out += ", ";
       out += "\"" + JsonEscape(c.key[j].first) + "\": \"" +
              JsonEscape(c.key[j].second) + "\"";
     }
-    out += "},\n";
+    out += "}";
+    if (!c.id.empty()) out += ", \"cell_id\": \"" + JsonEscape(c.id) + "\"";
+    out += ",\n";
     out += "     \"committed\": " + std::to_string(c.committed) +
            ", \"aborted\": " + std::to_string(c.aborted) +
            ", \"sim_ns\": " + std::to_string(c.sim_ns) +
@@ -214,17 +187,22 @@ std::string BenchRunner::WriteReport() {
       out += "}";
     }
     out += "}";
-    out += (i + 1 < cells_.size()) ? ",\n" : "\n";
+    out += (i + 1 < cells.size()) ? ",\n" : "\n";
   }
   out += "  ],\n";
+  uint64_t wall = 0;
+  uint64_t sim = 0;
+  for (const BenchCell& c : cells) {
+    wall += c.wall_ns;
+    sim += c.sim_ns;
+  }
   char total_ratio[64];
-  const uint64_t wall = TotalWallNs();
   std::snprintf(total_ratio, sizeof(total_ratio), "%.3f",
                 wall == 0 ? 0.0
-                          : static_cast<double>(TotalSimNs()) /
+                          : static_cast<double>(sim) /
                                 static_cast<double>(wall));
   out += "  \"total_wall_ns\": " + std::to_string(wall) + ",\n";
-  out += "  \"total_sim_ns\": " + std::to_string(TotalSimNs()) + ",\n";
+  out += "  \"total_sim_ns\": " + std::to_string(sim) + ",\n";
   out += "  \"total_sim_wall_ratio\": ";
   out += total_ratio;
   out += "\n}\n";

@@ -11,8 +11,8 @@
 
 namespace nvmdb {
 
-/// One benchmark grid cell's results, as recorded by BenchRunner and
-/// emitted into the machine-readable BENCH_<name>.json report.
+/// One benchmark cell's results, as recorded by BenchRunner and emitted
+/// into the machine-readable BENCH_<name>.json report.
 ///
 /// `key` holds the cell's grid coordinates in declaration order (e.g.
 /// {{"mixture","read-only"},{"skew","low"},{"engine","InP"}}); `metrics`
@@ -20,6 +20,11 @@ namespace nvmdb {
 /// latency profile, loads, footprint bytes, ...).
 struct BenchCell {
   std::vector<std::pair<std::string, std::string>> key;
+  /// Identity of the executed configuration (the cell registry key of
+  /// bench/cell_registry.h), emitted as "cell_id". Figures that print the
+  /// same executed cell carry the same id, so its host time is counted
+  /// once when reports are merged. Empty: not emitted.
+  std::string id;
   uint64_t committed = 0;
   uint64_t aborted = 0;
   /// Simulated nanoseconds the cell advanced the model clock (load phase
@@ -53,32 +58,27 @@ struct BenchCell {
   std::string Label() const;
 };
 
-/// Grid scheduler for benchmark cells.
+/// Job pool for benchmark cells.
 ///
-/// Every figure benchmark walks a fully independent (engine × mixture ×
-/// skew × config) grid: each cell builds its own Database/NvmDevice/
-/// workload, so cells never share mutable state and can run concurrently.
-/// The runner executes submitted cells on a bounded job pool
-/// (`NVMDB_BENCH_JOBS`, default hardware_concurrency; 1 = the classic
-/// serial path), stores each result in a pre-sized slot array, and leaves
-/// ALL table printing to the caller after the Wait() barrier — stdout is
-/// produced in deterministic grid order and is byte-identical regardless
-/// of the job count. Per-cell progress lines go to stderr in completion
-/// order, serialized so concurrent cells never interleave mid-line.
+/// Every figure cell is fully independent: each builds its own Database/
+/// NvmDevice/workload, so cells never share mutable state and can run
+/// concurrently. The runner executes submitted cells on a bounded job pool
+/// (`NVMDB_BENCH_JOBS`, default hardware_concurrency; 1 = serial), stamps
+/// each cell's host wall time, and stores each result in a pre-sized slot
+/// array. ALL table printing is left to the caller after the Wait()
+/// barrier, so stdout is produced in deterministic order and is
+/// byte-identical regardless of the job count. Per-cell progress lines go
+/// to stderr in completion order, serialized so concurrent cells never
+/// interleave mid-line.
 ///
 /// Cells whose internals need a single worker (RunSerial latency
-/// attribution, e.g. the ablation and fig16 benches) still parallelize
-/// across cells: the simulated clock is shared per *device*, and every
-/// cell owns a private device.
+/// attribution, e.g. the ablation cells) still parallelize across cells:
+/// the simulated clock is shared per *device*, and every cell owns a
+/// private device.
 class BenchRunner {
  public:
-  /// `bench_name` names the JSON report (BENCH_<bench_name>.json).
   /// `jobs` == 0 reads NVMDB_BENCH_JOBS from the environment.
-  explicit BenchRunner(std::string bench_name, size_t jobs = 0);
-
-  /// Waits for outstanding cells and writes the report if the caller
-  /// didn't already.
-  ~BenchRunner();
+  explicit BenchRunner(size_t jobs = 0);
 
   BenchRunner(const BenchRunner&) = delete;
   BenchRunner& operator=(const BenchRunner&) = delete;
@@ -100,29 +100,21 @@ class BenchRunner {
   /// All cells, indexed by slot. Valid after Wait().
   const std::vector<BenchCell>& cells() const { return cells_; }
 
-  /// Extra top-level key/value pairs for the report (scale knobs etc.).
-  void AddContext(const std::string& key, const std::string& value);
-
-  /// Write BENCH_<name>.json into $NVMDB_BENCH_JSON_DIR (default ".";
-  /// set to empty to disable). Returns the path written, or "" when
-  /// disabled. Called automatically by the destructor if needed.
-  std::string WriteReport();
-
-  /// Aggregate wall/sim totals over all cells (harness-speed summary).
-  uint64_t TotalWallNs() const;
-  uint64_t TotalSimNs() const;
-
  private:
-  void RunPending();
   void PrintProgress(const BenchCell& cell);
 
-  std::string bench_name_;
   size_t jobs_;
-  bool waited_ = false;
-  bool reported_ = false;
   std::vector<std::function<BenchCell()>> tasks_;
   std::vector<BenchCell> cells_;
-  std::vector<std::pair<std::string, std::string>> context_;
 };
+
+/// Write `cells` as BENCH_<bench_name>.json into $NVMDB_BENCH_JSON_DIR
+/// (default "."; set to empty to disable), with `context` as extra
+/// top-level key/value pairs (scale knobs etc.) and totals over the
+/// cells. Returns the path written, or "" when disabled or on error.
+std::string WriteBenchReport(
+    const std::string& bench_name, size_t jobs,
+    const std::vector<std::pair<std::string, std::string>>& context,
+    const std::vector<BenchCell>& cells);
 
 }  // namespace nvmdb

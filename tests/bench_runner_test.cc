@@ -55,14 +55,14 @@ CellResult RunCell(EngineKind engine, YcsbMixture mixture) {
   return out;
 }
 
-std::vector<BenchCell> RunGrid(const char* name, size_t jobs,
+std::vector<BenchCell> RunGrid(size_t jobs,
                                std::vector<CellResult>* results) {
   const EngineKind engines[] = {EngineKind::kInP, EngineKind::kNvmInP,
                                 EngineKind::kNvmLog};
   const YcsbMixture mixtures[] = {YcsbMixture::kReadHeavy,
                                   YcsbMixture::kWriteHeavy};
   results->assign(6, {});
-  BenchRunner runner(name, jobs);
+  BenchRunner runner(jobs);
   EXPECT_EQ(runner.jobs(), jobs);
   for (int e = 0; e < 3; e++) {
     for (int m = 0; m < 2; m++) {
@@ -100,9 +100,9 @@ class BenchRunnerTest : public ::testing::Test {
 TEST_F(BenchRunnerTest, ParallelGridMatchesSerialBitForBit) {
   std::vector<CellResult> serial, parallel;
   const std::vector<BenchCell> serial_cells =
-      RunGrid("grid_serial", 1, &serial);
+      RunGrid(1, &serial);
   const std::vector<BenchCell> parallel_cells =
-      RunGrid("grid_parallel", 4, &parallel);
+      RunGrid(4, &parallel);
 
   ASSERT_EQ(serial.size(), 6u);
   ASSERT_EQ(parallel.size(), 6u);
@@ -138,17 +138,20 @@ TEST_F(BenchRunnerTest, WriteReportEmitsJson) {
   ASSERT_NE(mkdtemp(dir_template), nullptr);
   setenv("NVMDB_BENCH_JSON_DIR", dir_template, 1);
 
-  BenchRunner runner("unit", 1);
-  runner.AddContext("scale", "tiny");
+  BenchRunner runner(1);
   runner.Submit([]() {
     BenchCell cell;
     cell.key = {{"engine", "InP"}};
+    cell.id = "ycsb InP balanced low";
     cell.committed = 7;
     cell.sim_ns = 1000;
     cell.metrics = {{"tps_dram", 123.5}};
     return cell;
   });
-  const std::string path = runner.WriteReport();
+  runner.Wait();
+  const std::string path =
+      WriteBenchReport("unit", runner.jobs(), {{"scale", "tiny"}},
+                       runner.cells());
   ASSERT_EQ(path, std::string(dir_template) + "/BENCH_unit.json");
 
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -160,15 +163,15 @@ TEST_F(BenchRunnerTest, WriteReportEmitsJson) {
   EXPECT_NE(contents.find("\"scale\": \"tiny\""), std::string::npos);
   EXPECT_NE(contents.find("\"committed\": 7"), std::string::npos);
   EXPECT_NE(contents.find("\"tps_dram\": 123.5"), std::string::npos);
+  EXPECT_NE(contents.find("\"cell_id\": \"ycsb InP balanced low\""),
+            std::string::npos);
 
   std::remove(path.c_str());
   rmdir(dir_template);
 }
 
 TEST_F(BenchRunnerTest, EmptyJsonDirDisablesReport) {
-  BenchRunner runner("disabled", 1);
-  runner.Submit([]() { return BenchCell{}; });
-  EXPECT_EQ(runner.WriteReport(), "");
+  EXPECT_EQ(WriteBenchReport("disabled", 1, {}, {BenchCell{}}), "");
 }
 
 }  // namespace

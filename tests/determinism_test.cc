@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "testbed/bench_runner.h"
@@ -124,10 +123,9 @@ INSTANTIATE_TEST_SUITE_P(AllSixEngines, EngineDeterminismTest,
 // or concurrently on pool threads (jobs=4). This is the in-process
 // equivalent of the CI job that diffs bench stdout across NVMDB_BENCH_JOBS.
 TEST(DeterminismTest, JobsOneVsFourIdentical) {
-  setenv("NVMDB_BENCH_JSON_DIR", "", 1);  // no report files from tests
   auto run_grid = [](size_t jobs) {
     std::vector<ModelOutput> outputs(SixEngines().size());
-    BenchRunner runner("determinism_test", jobs);
+    BenchRunner runner(jobs);
     for (size_t e = 0; e < SixEngines().size(); e++) {
       const EngineKind engine = SixEngines()[e];
       runner.Submit([&outputs, e, engine]() {
