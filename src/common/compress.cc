@@ -1,5 +1,6 @@
 #include "common/compress.h"
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -37,10 +38,20 @@ bool GetVarint(const char** p, const char* end, uint64_t* v) {
   return false;
 }
 
-uint32_t HashQuad(const char* p) {
+inline uint32_t Load32(const char* p) {
   uint32_t v;
   memcpy(&v, p, 4);
-  return (v * 2654435761u) >> (32 - kHashBits);
+  return v;
+}
+
+inline uint64_t Load64(const char* p) {
+  uint64_t v;
+  memcpy(&v, p, 8);
+  return v;
+}
+
+inline uint32_t HashQuad(uint32_t quad) {
+  return (quad * 2654435761u) >> (32 - kHashBits);
 }
 
 void EmitLiterals(std::string* out, const char* base, size_t start,
@@ -51,40 +62,72 @@ void EmitLiterals(std::string* out, const char* base, size_t start,
   out->append(base + start, end - start);
 }
 
-}  // namespace
+// Length of the common prefix of a and b, at most `max_len` bytes (both
+// ranges are readable that far): eight bytes per step, then the first
+// differing byte from the XOR's lowest set bit.
+inline size_t MatchLength(const char* a, const char* b, size_t max_len) {
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "word-wise match extension assumes little-endian loads");
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    const uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      return len + static_cast<size_t>(__builtin_ctzll(diff)) / 8;
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) len++;
+  return len;
+}
 
-std::string LzCompress(const Slice& input) {
-  std::string out;
-  const char* data = input.data();
-  const size_t n = input.size();
-  PutVarint(&out, n);  // uncompressed size header
-  if (n == 0) return out;
-
-  std::vector<int64_t> head(1u << kHashBits, -1);
+// Greedy single-candidate matcher. The head table stores position + 1
+// (0 = empty) in `Pos`, so inputs below 4 GiB use a 32-bit table.
+template <typename Pos>
+void Compress(const char* data, size_t n, std::string* out) {
+  std::vector<Pos> head(size_t{1} << kHashBits, 0);
   size_t i = 0;
   size_t literal_start = 0;
   while (i + kMinMatch <= n) {
-    const uint32_t h = HashQuad(data + i);
-    const int64_t cand = head[h];
-    head[h] = static_cast<int64_t>(i);
-    if (cand >= 0 && i - static_cast<size_t>(cand) <= kWindow &&
-        memcmp(data + cand, data + i, kMinMatch) == 0) {
-      size_t len = kMinMatch;
-      const size_t max_len =
-          (n - i) < kMaxMatch ? (n - i) : kMaxMatch;
-      while (len < max_len && data[cand + len] == data[i + len]) len++;
-      EmitLiterals(&out, data, literal_start, i);
-      out.push_back(static_cast<char>(kMatchOp));
-      PutVarint(&out, len - kMinMatch);
-      PutVarint(&out, i - static_cast<size_t>(cand));
-      i += len;
-      literal_start = i;
-    } else {
-      i++;
+    const uint32_t quad = Load32(data + i);
+    Pos& slot = head[HashQuad(quad)];
+    const Pos cand_plus_one = slot;
+    slot = static_cast<Pos>(i + 1);
+    if (cand_plus_one != 0) {
+      const size_t cand = static_cast<size_t>(cand_plus_one) - 1;
+      if (i - cand <= kWindow && Load32(data + cand) == quad) {
+        const size_t max_len = (n - i) < kMaxMatch ? (n - i) : kMaxMatch;
+        const size_t len =
+            kMinMatch + MatchLength(data + cand + kMinMatch,
+                                    data + i + kMinMatch,
+                                    max_len - kMinMatch);
+        EmitLiterals(out, data, literal_start, i);
+        out->push_back(static_cast<char>(kMatchOp));
+        PutVarint(out, len - kMinMatch);
+        PutVarint(out, i - cand);
+        i += len;
+        literal_start = i;
+        continue;
+      }
     }
+    i++;
   }
-  EmitLiterals(&out, data, literal_start, n);
-  return out;
+  EmitLiterals(out, data, literal_start, n);
+}
+
+}  // namespace
+
+void LzCompress(const Slice& input, std::string* out) {
+  const size_t n = input.size();
+  // Room for incompressible input (one literal run). Pages of a large
+  // reservation that the output never reaches are never touched.
+  out->reserve(out->size() + n + 32);
+  PutVarint(out, n);  // uncompressed size header
+  if (n == 0) return;
+  if (n < UINT32_MAX) {
+    Compress<uint32_t>(input.data(), n, out);
+  } else {
+    Compress<uint64_t>(input.data(), n, out);
+  }
 }
 
 bool LzDecompress(const Slice& input, std::string* output) {

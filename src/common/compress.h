@@ -12,7 +12,13 @@ namespace nvmdb {
 ///
 /// Format: sequence of ops. Literal run: 0x00 <varint len> <bytes>.
 /// Match: 0x01 <varint len> <varint distance>. Greedy hash-chain matcher.
-std::string LzCompress(const Slice& input);
+/// Appends the compressed form of `input` to `out`.
+void LzCompress(const Slice& input, std::string* out);
+inline std::string LzCompress(const Slice& input) {
+  std::string out;
+  LzCompress(input, &out);
+  return out;
+}
 
 /// Inverse of LzCompress. Returns false on malformed input.
 bool LzDecompress(const Slice& input, std::string* output);

@@ -13,13 +13,13 @@ Status WriteCheckpoint(Pmfs* fs, const std::string& file_name,
                        const std::string& payload) {
   ScopedStallTag tag(StallTag::kCheckpoint);
   const uint64_t trace_start = fs->device()->TotalStallNanos();
-  const std::string compressed = LzCompress(payload);
-  std::string out;
-  const uint32_t crc = Crc32c(compressed.data(), compressed.size());
-  const uint64_t len = compressed.size();
-  out.append(reinterpret_cast<const char*>(&crc), 4);
-  out.append(reinterpret_cast<const char*>(&len), 8);
-  out.append(compressed);
+  // Compress straight behind the 12-byte header, then fill it in.
+  std::string out(12, '\0');
+  LzCompress(payload, &out);
+  const uint32_t crc = Crc32c(out.data() + 12, out.size() - 12);
+  const uint64_t len = out.size() - 12;
+  memcpy(&out[0], &crc, 4);
+  memcpy(&out[4], &len, 8);
 
   // Write to a temp file and swap in: a crash mid-checkpoint must not
   // destroy the previous checkpoint.

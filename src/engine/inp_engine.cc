@@ -1,5 +1,6 @@
 #include "engine/inp_engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -430,18 +431,26 @@ void InPEngine::ApplyCommittedRecord(const LogRecord& record) {
 
 std::string InPEngine::SerializeDatabase() {
   std::string payload;
+  // Checkpoints of one engine are of similar size: reserve the last one's.
+  payload.reserve(last_payload_bytes_);
   for (auto& [table_id, table] : tables_) {
     payload.append(reinterpret_cast<const char*>(&table_id), 4);
     const uint64_t count = table.primary->size();
     payload.append(reinterpret_cast<const char*>(&count), 8);
     table.primary->ScanAll([&](uint64_t, const uint64_t& slot) {
-      const std::string bytes = table.heap->Read(slot).SerializeInlined();
-      const uint32_t len = static_cast<uint32_t>(bytes.size());
-      payload.append(reinterpret_cast<const char*>(&len), 4);
-      payload.append(bytes);
+      // Each tuple is [u32 len][inlined bytes]: append the bytes after a
+      // length placeholder, then patch the length in.
+      table.heap->Read(slot, &scan_scratch_);
+      const size_t len_pos = payload.size();
+      payload.append(4, '\0');
+      scan_scratch_.AppendInlined(&payload);
+      const uint32_t len =
+          static_cast<uint32_t>(payload.size() - len_pos - 4);
+      memcpy(&payload[len_pos], &len, 4);
       return true;
     });
   }
+  last_payload_bytes_ = payload.size();
   return payload;
 }
 
@@ -499,11 +508,9 @@ Status InPEngine::Recover() {
     if (r.op == LogOp::kCommit) committed.push_back(r.txn_id);
     if (r.txn_id >= next_txn_id_) next_txn_id_ = r.txn_id + 1;
   }
+  std::sort(committed.begin(), committed.end());
   auto is_committed = [&committed](uint64_t txn) {
-    for (uint64_t c : committed) {
-      if (c == txn) return true;
-    }
-    return false;
+    return std::binary_search(committed.begin(), committed.end(), txn);
   };
   // Pass 2: redo committed changes in log order.
   for (const LogRecord& r : records) {

@@ -107,6 +107,7 @@ class InPEngine : public StorageEngine {
   Tuple scratch_tuple_;   // update/delete old image
   Tuple scratch_tuple2_;  // update new image (secondary maintenance)
   Tuple scan_scratch_;    // select-secondary / scan materialization
+  size_t last_payload_bytes_ = 0;  // size of the last checkpoint payload
 };
 
 }  // namespace nvmdb

@@ -28,10 +28,13 @@ namespace nvmdb {
 /// Group commit is the caller's policy: any number of operations may run
 /// between commits.
 ///
-/// Ephemeral nodes come from a rewind pool (live nodes are bounded by
-/// 2x tree depth) and store their values in one arena per node, so
-/// steady-state operations stop allocating once the pool and the node
-/// buffers have grown to the working size.
+/// Nodes are never materialized: every operation reads and writes the
+/// page bytes in place through the store's page views (DESIGN.md §5).
+/// Only what must outlive a nested store call — an inner node's keys and
+/// children across the recursion below it, a leaf's scanned entries across
+/// the caller's callback, a split's overflowing image — is copied, into a
+/// rewind pool of scratch buffers (live buffers are bounded by the tree
+/// depth), so steady-state operations do not allocate.
 class CowBTree {
  public:
   explicit CowBTree(PageStore* store);
@@ -71,34 +74,6 @@ class CowBTree {
   size_t PageCount() const;
 
  private:
-  // Ephemeral in-memory node. Values live in a per-node byte arena
-  // addressed by (offset, length) handles; replacing a value appends and
-  // repoints, orphaning the old bytes — fine, since a node lives for one
-  // tree operation and its arena is rewound on reuse.
-  struct Node {
-    bool leaf = true;
-    std::vector<uint64_t> keys;
-    std::vector<uint64_t> children;  // inner only, keys.size() + 1
-    std::vector<std::pair<uint32_t, uint32_t>> vals;  // leaf: off, len
-    std::string arena;
-
-    void Clear() {
-      leaf = true;
-      keys.clear();
-      children.clear();
-      vals.clear();
-      arena.clear();
-    }
-    Slice value(size_t i) const {
-      return Slice(arena.data() + vals[i].first, vals[i].second);
-    }
-    std::pair<uint32_t, uint32_t> AppendBytes(const Slice& v);
-    void SetValue(size_t i, const Slice& v) { vals[i] = AppendBytes(v); }
-    void InsertValue(size_t i, const Slice& v) {
-      vals.insert(vals.begin() + static_cast<ptrdiff_t>(i), AppendBytes(v));
-    }
-  };
-
   // Result of a recursive CoW modification: the subtree's (possibly new)
   // root page, plus an optional right sibling from a split.
   struct ModResult {
@@ -109,20 +84,38 @@ class CowBTree {
     bool removed = false;  // subtree became empty (delete path)
   };
 
+  // Rewind pool of scratch buffers (two pages each). A ScratchScope hands
+  // out buffers and returns every buffer it took when it dies; scopes nest
+  // with the recursion (and with callbacks that re-enter the tree).
+  class ScratchScope {
+   public:
+    explicit ScratchScope(const CowBTree* tree)
+        : tree_(tree), mark_(tree->scratch_used_) {}
+    ~ScratchScope() { tree_->scratch_used_ = mark_; }
+    ScratchScope(const ScratchScope&) = delete;
+    ScratchScope& operator=(const ScratchScope&) = delete;
+    uint64_t* Acquire() const;
+
+   private:
+    const CowBTree* tree_;
+    size_t mark_;
+  };
+
   static constexpr uint64_t kNilPage = 0;
   // Page ids are stored +1 in the master record and child arrays so that 0
   // can mean "empty tree".
 
-  // Rewind pool: Acquire hands out cleared nodes; callers remember
-  // pool_used_ before acquiring and rewind it when their nodes die. Live
-  // nodes are bounded by the recursion depth (plus split siblings).
-  Node* AcquireNode() const;
-
-  void LoadNode(uint64_t epid, Node* out) const;
-  uint64_t StoreNode(const Node& node, uint64_t old_pid);
-  size_t SerializedSize(const Node& node) const;
-  void SerializeNode(const Node& node, uint8_t* buf) const;
-  void ParseNode(const uint8_t* buf, Node* out) const;
+  const uint8_t* ReadPage(uint64_t epid) const;
+  /// The page a node's new image goes to: the node's own page if it was
+  /// created in this batch (updated in place), else a fresh page, the old
+  /// one being freed at commit.
+  uint64_t ShadowPage(uint64_t old_epid);
+  /// Write a complete inner page: `n` keys and `n + 1` children.
+  uint64_t StoreInner(uint64_t old_epid, const uint64_t* keys, size_t n,
+                      const uint64_t* children);
+  /// Write a complete leaf page whose entries are `entries[0, bytes)`.
+  uint64_t StoreLeaf(uint64_t old_epid, const uint8_t* entries,
+                     size_t bytes, size_t count);
 
   bool IsFresh(uint64_t epid) const;
   void AddFresh(uint64_t epid);
@@ -133,14 +126,14 @@ class CowBTree {
 
   ModResult PutRec(uint64_t epid, uint64_t key, const Slice& value,
                    bool* inserted);
+  ModResult PutLeaf(uint64_t epid, const uint8_t* page, uint64_t key,
+                    const Slice& value, bool* inserted);
   ModResult DeleteRec(uint64_t epid, uint64_t key, bool* deleted);
   bool GetRec(uint64_t epid, uint64_t key, std::string* out) const;
   void ScanRec(uint64_t epid, uint64_t lo, uint64_t hi,
                const std::function<bool(uint64_t, const Slice&)>& fn,
                bool* keep_going) const;
   void CollectReachable(uint64_t epid, std::set<uint64_t>* out) const;
-  void SplitLeaf(Node* node, Node* right) const;
-  void SplitInner(Node* node, Node* right, uint64_t* sep) const;
   size_t InnerCapacity() const;
 
   PageStore* store_;
@@ -148,9 +141,8 @@ class CowBTree {
   uint64_t dirty_root_;
   std::vector<uint64_t> fresh_pages_;     // created in this batch; sorted
   std::vector<uint64_t> replaced_pages_;  // to free on commit
-  mutable std::vector<std::unique_ptr<Node>> node_pool_;
-  mutable size_t pool_used_ = 0;
-  mutable std::vector<uint8_t> page_buf_;  // shared (de)serialize staging
+  mutable std::vector<std::unique_ptr<uint64_t[]>> scratch_pool_;
+  mutable size_t scratch_used_ = 0;
   mutable std::vector<uint64_t> flush_scratch_;
 };
 

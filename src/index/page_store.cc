@@ -216,7 +216,7 @@ PmfsPageStore::Frame* PmfsPageStore::GetCached(uint64_t pid,
   return &frames_[idx];
 }
 
-void PmfsPageStore::ReadPage(uint64_t pid, void* buf) {
+const uint8_t* PmfsPageStore::ReadView(uint64_t pid) {
   Frame* frame = GetCached(pid, /*fill_from_file=*/true);
   // The page cache occupies NVM (used as volatile memory); its accesses
   // pass through the CPU-cache model — this is the "I/O overhead of
@@ -224,15 +224,18 @@ void PmfsPageStore::ReadPage(uint64_t pid, void* buf) {
   // reside in the CPU caches" effect of Section 5.3.
   fs_->device()->TouchVirtual(reinterpret_cast<const void*>(frame->vaddr),
                               page_size_, false);
-  memcpy(buf, frame->data.get(), page_size_);
+  return frame->data.get();
 }
 
-void PmfsPageStore::WritePage(uint64_t pid, const void* buf) {
+uint8_t* PmfsPageStore::WriteView(uint64_t pid) {
+  // GetCached picks the frame before it evicts, so an evicted frame's
+  // buffer is recycled only by a later fill: a read view taken just
+  // before stays intact.
   Frame* frame = GetCached(pid, /*fill_from_file=*/false);
   fs_->device()->TouchVirtual(reinterpret_cast<const void*>(frame->vaddr),
                               page_size_, true);
-  memcpy(frame->data.get(), buf, page_size_);
   frame->dirty = true;
+  return frame->data.get();
 }
 
 void PmfsPageStore::FlushPages(const std::vector<uint64_t>& pids) {
@@ -307,12 +310,16 @@ void NvmPageStore::FreePage(uint64_t pid) {
   allocator_->Free(pid);
 }
 
-void NvmPageStore::ReadPage(uint64_t pid, void* buf) {
-  device_->Read(pid, buf, page_size_);
+const uint8_t* NvmPageStore::ReadView(uint64_t pid) {
+  const void* page = device_->PtrAt(pid);
+  device_->TouchRead(page, page_size_);
+  return static_cast<const uint8_t*>(page);
 }
 
-void NvmPageStore::WritePage(uint64_t pid, const void* buf) {
-  device_->Write(pid, buf, page_size_);
+uint8_t* NvmPageStore::WriteView(uint64_t pid) {
+  void* page = device_->PtrAt(pid);
+  device_->TouchWrite(page, page_size_);
+  return static_cast<uint8_t*>(page);
 }
 
 void NvmPageStore::FlushPages(const std::vector<uint64_t>& pids) {

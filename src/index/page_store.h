@@ -25,8 +25,19 @@ class PageStore {
   virtual uint64_t AllocPage() = 0;
   virtual void FreePage(uint64_t pid) = 0;
 
-  virtual void ReadPage(uint64_t pid, void* buf) = 0;
-  virtual void WritePage(uint64_t pid, const void* buf) = 0;
+  /// Page views (DESIGN.md §5): model a whole-page read or write of
+  /// `pid` and return the page's bytes in place instead of copying them.
+  /// A write view must be filled completely (every byte of the page is
+  /// defined by the caller), unless it is the same page as the read view
+  /// just taken, which it then edits in place.
+  ///
+  /// Lifetime: a view stays valid until the next call on the store, with
+  /// one exception the tree relies on — a read view survives AllocPage and
+  /// the one WriteView that follows it (a write view never reuses the
+  /// buffer of a frame its own fill evicted). Anything that must outlive
+  /// further calls is copied out first.
+  virtual const uint8_t* ReadView(uint64_t pid) = 0;
+  virtual uint8_t* WriteView(uint64_t pid) = 0;
 
   /// Make the given pages durable (fsync / sync primitive). `pids` must
   /// be sorted ascending — the flush order is part of the deterministic
@@ -90,8 +101,8 @@ class PmfsPageStore : public PageStore {
   size_t page_size() const override { return page_size_; }
   uint64_t AllocPage() override;
   void FreePage(uint64_t pid) override;
-  void ReadPage(uint64_t pid, void* buf) override;
-  void WritePage(uint64_t pid, const void* buf) override;
+  const uint8_t* ReadView(uint64_t pid) override;
+  uint8_t* WriteView(uint64_t pid) override;
   void FlushPages(const std::vector<uint64_t>& pids) override;
   uint64_t ReadMaster() override;
   void WriteMaster(uint64_t root_pid) override;
@@ -153,8 +164,8 @@ class NvmPageStore : public PageStore {
   size_t page_size() const override { return page_size_; }
   uint64_t AllocPage() override;
   void FreePage(uint64_t pid) override;
-  void ReadPage(uint64_t pid, void* buf) override;
-  void WritePage(uint64_t pid, const void* buf) override;
+  const uint8_t* ReadView(uint64_t pid) override;
+  uint8_t* WriteView(uint64_t pid) override;
   void FlushPages(const std::vector<uint64_t>& pids) override;
   uint64_t ReadMaster() override;
   void WriteMaster(uint64_t root_pid) override;

@@ -63,16 +63,6 @@ CacheSim::CacheSim(const CacheConfig& config, CacheCallbacks callbacks)
   stamps_.assign(num_sets * associativity_, 0);
 }
 
-#if NVMDB_OWNER_CHECKS
-void CacheSim::OwnerViolation() {
-  std::fprintf(stderr,
-               "CacheSim owner-thread violation: instance accessed from a "
-               "second thread; a CacheSim (and the NvmDevice or Database "
-               "around it) must be driven by one thread only\n");
-  std::abort();
-}
-#endif
-
 #if NVMDB_STREAM_CHECKS
 void CacheSim::StreamCheckViolation() {
   std::fprintf(stderr,
@@ -123,9 +113,7 @@ NVMDB_CACHE_SIM_DECLARE(ProbeKind::kAvx2);
 CacheAccessResult CacheSim::AccessEx(uint64_t addr, size_t size,
                                      bool is_write) {
   if (size == 0) return CacheAccessResult{};
-#if NVMDB_OWNER_CHECKS
-  CheckOwner();
-#endif
+  owner_.Check("CacheSim");
   NVMDB_PROBE_DISPATCH(AccessExImpl, addr, size, is_write)
 }
 
@@ -134,25 +122,19 @@ CacheAccessResult CacheSim::AccessSegments(uint64_t addr,
                                            size_t num_segments,
                                            bool is_write) {
   if (num_segments == 0) return CacheAccessResult{};
-#if NVMDB_OWNER_CHECKS
-  CheckOwner();
-#endif
+  owner_.Check("CacheSim");
   NVMDB_PROBE_DISPATCH(AccessSegmentsImpl, addr, lens, num_segments,
                        is_write)
 }
 
 size_t CacheSim::FlushRange(uint64_t addr, size_t size, bool invalidate) {
   if (size == 0) return 0;
-#if NVMDB_OWNER_CHECKS
-  CheckOwner();
-#endif
+  owner_.Check("CacheSim");
   NVMDB_PROBE_DISPATCH(FlushRangeImpl, addr, size, invalidate)
 }
 
 size_t CacheSim::WriteBackAll() {
-#if NVMDB_OWNER_CHECKS
-  CheckOwner();
-#endif
+  owner_.Check("CacheSim");
   size_t flushed = 0;
   for (uint64_t& e : entries_) {
     if (e != kInvalidEntry && (e & 1)) {
@@ -169,9 +151,7 @@ size_t CacheSim::WriteBackAll() {
 }
 
 void CacheSim::DropDirty() {
-#if NVMDB_OWNER_CHECKS
-  CheckOwner();
-#endif
+  owner_.Check("CacheSim");
   std::fill(entries_.begin(), entries_.end(), kInvalidEntry);
   std::fill(stamps_.begin(), stamps_.end(), uint64_t{0});
   lru_clock_ = 0;

@@ -1,23 +1,10 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "nvm/cache_probe.h"
-
-/// Debug-build owner checks: the cache records the first accessing thread
-/// and aborts on any access from another thread, making silent
-/// cross-thread use of the zero-synchronization cache impossible.
-/// Compiled out under NDEBUG (the hot path must stay branch-free in
-/// release builds); define NVMDB_FORCE_OWNER_CHECKS to keep them in an
-/// optimized build (the sanitizer CI job does).
-#if !defined(NDEBUG) || defined(NVMDB_FORCE_OWNER_CHECKS)
-#define NVMDB_OWNER_CHECKS 1
-#else
-#define NVMDB_OWNER_CHECKS 0
-#endif
+#include "nvm/thread_owner.h"
 
 /// Debug-build stream checks: AccessSegments re-derives the uncoalesced
 /// per-line visit sequence of the segments it was handed and aborts if the
@@ -152,9 +139,7 @@ class CacheSim {
   bool OwnerHitFast(uint64_t addr, size_t size, bool is_write) {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return false;
-#if NVMDB_OWNER_CHECKS
-    CheckOwner();
-#endif
+    owner_.Check("CacheSim");
     const size_t base = SetOf(idx) * associativity_;
     uint64_t* const ways = &entries_[base];
     const int w = FindWayInline(ways, idx << 1);
@@ -179,9 +164,7 @@ class CacheSim {
   int OwnerFlushFast(uint64_t addr, size_t size, bool invalidate) {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return -1;
-#if NVMDB_OWNER_CHECKS
-    CheckOwner();
-#endif
+    owner_.Check("CacheSim");
     uint64_t* const ways = &entries_[SetOf(idx) * associativity_];
     const uint64_t match = idx << 1;
     int flushed = 0;
@@ -214,6 +197,7 @@ class CacheSim {
   uint64_t write_backs() const { return write_backs_; }
 
   size_t line_size() const { return line_size_; }
+  unsigned line_shift() const { return line_shift_; }
 
   /// Probe implementation the instance runs (after every override); the
   /// golden test and bench_cachesim report it.
@@ -285,24 +269,6 @@ class CacheSim {
   [[noreturn]] static void StreamCheckViolation();
 #endif
 
-#if NVMDB_OWNER_CHECKS
-  /// Record the first accessing thread and abort on any access from a
-  /// different thread. Mutating entry points call this; read-only counter
-  /// getters don't, so post-join aggregation from a parent thread
-  /// (sequentially safe) stays legal.
-  void CheckOwner() {
-    const std::thread::id self = std::this_thread::get_id();
-    std::thread::id expected{};
-    if (owner_thread_.load(std::memory_order_relaxed) == self) return;
-    if (owner_thread_.compare_exchange_strong(expected, self,
-                                              std::memory_order_relaxed)) {
-      return;  // first toucher becomes the owner
-    }
-    OwnerViolation();
-  }
-  [[noreturn]] static void OwnerViolation();
-#endif
-
   size_t line_size_;        // power of two
   unsigned line_shift_;     // log2(line_size_)
   size_t associativity_;
@@ -322,12 +288,7 @@ class CacheSim {
   uint64_t misses_ = 0;
   uint64_t write_backs_ = 0;
 
-#if NVMDB_OWNER_CHECKS
-  /// First thread that touched the instance; default-constructed id
-  /// until then. Atomic so the check itself is race-free even while it
-  /// detects a race.
-  std::atomic<std::thread::id> owner_thread_{};
-#endif
+  [[no_unique_address]] ThreadOwner owner_;
 };
 
 }  // namespace nvmdb

@@ -2,8 +2,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <vector>
+
+#include "nvm/thread_owner.h"
 
 namespace nvmdb {
 
@@ -35,6 +36,9 @@ class NvmDevice;
 /// The simulator is installed on a device with
 /// `NvmDevice::set_crash_sim`; when none is installed the hooks cost one
 /// null check per durability event.
+///
+/// Thread-confined like the device it is installed on: no locks, and debug
+/// builds abort on a mutation from a second thread.
 class CrashSim {
  public:
   /// Arm a capture at absolute event number `target_event` (1-based,
@@ -85,7 +89,7 @@ class CrashSim {
                uint64_t value);
   bool Coin();
 
-  mutable std::mutex mu_;
+  [[no_unique_address]] ThreadOwner owner_;  // thread-confined, no locks
   uint64_t events_ = 0;
   uint64_t target_ = 0;  // 0 = disarmed
   bool tear_ = false;

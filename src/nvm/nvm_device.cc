@@ -81,6 +81,7 @@ NvmDevice::NvmDevice(size_t capacity, const NvmLatencyConfig& latency,
   // Miss latency is charged at the access site (together with hit and
   // write-back costs), not in a fill callback, so no fill hook is needed.
   cache_ = std::make_unique<CacheSim>(cache_cfg, callbacks);
+  store_cost_ns_ = StoreCostNs();
 }
 
 NvmDevice::~NvmDevice() {
@@ -113,13 +114,13 @@ void NvmDevice::OnWriteBack(void* ctx, uint64_t line_addr,
 
 void NvmDevice::ChargeAccess(uint64_t addr, size_t n, bool is_write) {
   const CacheAccessResult r = cache_->AccessEx(addr, n, is_write);
-  const size_t lines =
-      (addr + n - 1) / cache_->line_size() - addr / cache_->line_size() + 1;
+  const unsigned shift = cache_->line_shift();
+  const size_t lines = ((addr + n - 1) >> shift) - (addr >> shift) + 1;
   // One accumulation covers the whole call: miss latency, hit latency, and
   // write-back bandwidth for every line the access touched.
   ChargeStall(r.missed * latency_.read_latency_ns +
               (lines - r.missed) * latency_.cache_hit_ns +
-              r.write_backs * StoreCostNs());
+              r.write_backs * store_cost_ns_);
 }
 
 void NvmDevice::TouchSegments(uint64_t addr, const uint32_t* lens,
@@ -131,7 +132,7 @@ void NvmDevice::TouchSegments(uint64_t addr, const uint32_t* lens,
   // exact visit count (boundary lines visited once per touching segment).
   ChargeStall(r.missed * latency_.read_latency_ns +
               (r.lines - r.missed) * latency_.cache_hit_ns +
-              r.write_backs * StoreCostNs());
+              r.write_backs * store_cost_ns_);
 }
 
 void NvmDevice::ReadSegments(uint64_t offset, const ReadSeg* segs,
@@ -203,7 +204,7 @@ void NvmDevice::Persist(uint64_t offset, size_t n) {
   MarkDurable(first, last_end - first);
   memcpy(durable_ + first, working_ + first, last_end - first);
   // Write-back bandwidth plus SFENCE + flush latency, in one accumulation.
-  ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
+  ChargeStall(flushed * store_cost_ns_ + latency_.sync_latency_ns);
   sync_calls_++;
 }
 
@@ -218,7 +219,7 @@ void NvmDevice::AtomicPersistWrite64(uint64_t offset, uint64_t value) {
   // the old or the new value survives a crash, never a torn mix.
   MarkDurable(offset, 8);
   memcpy(durable_ + offset, &value, 8);
-  ChargeStall(flushed * StoreCostNs() + latency_.sync_latency_ns);
+  ChargeStall(flushed * store_cost_ns_ + latency_.sync_latency_ns);
   sync_calls_++;
 }
 
@@ -257,7 +258,7 @@ void NvmDevice::RestoreImages(const uint8_t* image, size_t n) {
 
 void NvmDevice::FlushAll() {
   const size_t flushed = cache_->WriteBackAll();
-  ChargeStall(flushed * StoreCostNs());
+  ChargeStall(flushed * store_cost_ns_);
   MarkDurable(0, capacity_);
   memcpy(durable_, working_, capacity_);
 }

@@ -265,7 +265,10 @@ class NvmDevice {
   uint64_t TotalStallNanos() const { return stall_ns_; }
 
   const NvmLatencyConfig& latency_config() const { return latency_; }
-  void set_latency_config(const NvmLatencyConfig& cfg) { latency_ = cfg; }
+  void set_latency_config(const NvmLatencyConfig& cfg) {
+    latency_ = cfg;
+    store_cost_ns_ = StoreCostNs();
+  }
 
   /// Charge additional simulated time that does not depend on the NVM
   /// latency profile (VFS/syscall crossings, fsync bookkeeping).
@@ -302,6 +305,8 @@ class NvmDevice {
   /// Run the cache model over [addr, addr+n) and charge hit/miss/write-back
   /// costs with a single accumulation for the whole call.
   void ChargeAccess(uint64_t addr, size_t n, bool is_write);
+  /// Cost of one line write-back under latency_: line_size / bandwidth,
+  /// truncated. Cached in store_cost_ns_ whenever latency_ changes.
   uint64_t StoreCostNs() const;
 
   /// Flush the lines covering [offset, offset+n) per the sync primitive's
@@ -349,6 +354,7 @@ class NvmDevice {
   std::vector<uint64_t> durable_pages_;
   NvmLatencyConfig latency_;
   std::unique_ptr<CacheSim> cache_;
+  uint64_t store_cost_ns_ = 0;  // StoreCostNs() for latency_
 
   uint64_t stall_ns_ = 0;
   uint64_t external_ns_ = 0;

@@ -91,7 +91,7 @@ uint64_t PmemAllocator::Alloc(size_t size, StorageTag tag,
   ScopedStallTag stall_tag(StallTag::kAllocator);
   if (size == 0) size = 1;
   const size_t cls = SizeClass(size);
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("PmemAllocator");
 
   uint64_t slot_off = PopFree(cls);
   SlotHeader* slot;
@@ -171,7 +171,7 @@ void PmemAllocator::Free(uint64_t payload_offset) {
   if (!ValidPayloadOffset(payload_offset)) return;
   const uint64_t slot_off = payload_offset - sizeof(SlotHeader);
   SlotHeader* slot = SlotAt(slot_off);
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("PmemAllocator");
   if (slot->state == static_cast<uint16_t>(SlotState::kFree)) {
     // Already free: either the crash hit mid-way through a multi-slot free
     // and recovery is re-running it, or the allocator walk in Recover()
@@ -229,7 +229,7 @@ Status PmemAllocator::SetRoot(const std::string& name, uint64_t offset) {
   if (name.empty() || name.size() >= kNameBytes) {
     return Status::InvalidArgument("root name length");
   }
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("PmemAllocator");
   RegionHeader* h = header();
   RegionHeader::CatalogEntry* empty = nullptr;
   for (auto& e : h->catalog) {
@@ -256,7 +256,6 @@ Status PmemAllocator::SetRoot(const std::string& name, uint64_t offset) {
 }
 
 uint64_t PmemAllocator::GetRoot(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const RegionHeader* h = header();
   for (const auto& e : h->catalog) {
     if (strncmp(e.name, name.c_str(), kNameBytes) == 0) return e.offset;
@@ -265,7 +264,7 @@ uint64_t PmemAllocator::GetRoot(const std::string& name) const {
 }
 
 void PmemAllocator::Recover() {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("PmemAllocator");
   free_lists_.clear();
   rotate_.clear();
   memset(used_by_tag_, 0, sizeof(used_by_tag_));
@@ -302,7 +301,6 @@ void PmemAllocator::Recover() {
 }
 
 Status PmemAllocator::AuditHeap(uint64_t* live_slots) const {
-  std::lock_guard<std::mutex> guard(mu_);
   const RegionHeader* h = header();
   if (h->magic != kRegionMagic) return Status::Corruption("region magic");
   if (h->heap_start < sizeof(RegionHeader) ||
@@ -336,7 +334,6 @@ Status PmemAllocator::AuditHeap(uint64_t* live_slots) const {
 }
 
 AllocatorStats PmemAllocator::stats() const {
-  std::lock_guard<std::mutex> guard(mu_);
   AllocatorStats s;
   memcpy(s.used_by_tag, used_by_tag_, sizeof(used_by_tag_));
   s.total_used = total_used_;

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "nvm/nvm_device.h"
+#include "nvm/thread_owner.h"
 
 namespace nvmdb {
 
@@ -49,6 +49,9 @@ struct AllocatorStats {
 ///
 /// Free lists are volatile (rebuilt by scanning slot headers on recovery);
 /// only the headers and the high-water mark are authoritative.
+///
+/// Like the device under it, an allocator is thread-confined: one thread
+/// drives it (debug builds abort on a second), so it takes no locks.
 class PmemAllocator {
  public:
   /// Attach to a device. If the region is not formatted (or `format` is
@@ -157,7 +160,7 @@ class PmemAllocator {
 
   NvmDevice* device_;
   bool eager_state_sync_ = true;
-  mutable std::mutex mu_;
+  [[no_unique_address]] ThreadOwner owner_;  // thread-confined, no locks
   // payload size class -> slot offsets; rotation index per class.
   std::map<size_t, std::vector<uint64_t>> free_lists_;
   std::map<size_t, size_t> rotate_;

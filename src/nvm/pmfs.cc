@@ -68,7 +68,7 @@ uint64_t* Pmfs::ExtentTable(const Inode* inode) const {
 
 Pmfs::Fd Pmfs::Open(const std::string& name, bool create, StorageTag tag) {
   if (name.empty() || name.size() >= kNameBytes) return -1;
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   int found = -1, free_idx = -1;
   for (size_t i = 0; i < super()->num_inodes; i++) {
     Inode* inode = InodeAt(i);
@@ -108,7 +108,7 @@ Pmfs::Fd Pmfs::Open(const std::string& name, bool create, StorageTag tag) {
 }
 
 void Pmfs::Close(Fd fd) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   handles_.erase(fd);
 }
 
@@ -158,7 +158,7 @@ Status Pmfs::EnsureBlocks(Inode* inode, uint64_t end_offset) {
 }
 
 Status Pmfs::Write(Fd fd, uint64_t offset, const void* buf, size_t n) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   auto it = handles_.find(fd);
   if (it == handles_.end()) return Status::InvalidArgument("bad fd");
   Handle& h = it->second;
@@ -197,19 +197,14 @@ Status Pmfs::Write(Fd fd, uint64_t offset, const void* buf, size_t n) {
 }
 
 Status Pmfs::Append(Fd fd, const void* buf, size_t n) {
-  uint64_t size;
-  {
-    std::lock_guard<std::mutex> guard(mu_);
-    auto it = handles_.find(fd);
-    if (it == handles_.end()) return Status::InvalidArgument("bad fd");
-    size = InodeAt(it->second.inode_idx)->size;
-  }
-  return Write(fd, size, buf, n);
+  auto it = handles_.find(fd);
+  if (it == handles_.end()) return Status::InvalidArgument("bad fd");
+  return Write(fd, InodeAt(it->second.inode_idx)->size, buf, n);
 }
 
 Status Pmfs::Read(Fd fd, uint64_t offset, void* buf, size_t n,
                   size_t* out_n) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   auto it = handles_.find(fd);
   if (it == handles_.end()) return Status::InvalidArgument("bad fd");
   const Inode* inode = InodeAt(it->second.inode_idx);
@@ -241,7 +236,7 @@ Status Pmfs::Read(Fd fd, uint64_t offset, void* buf, size_t n,
 }
 
 Status Pmfs::Fsync(Fd fd) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   auto it = handles_.find(fd);
   if (it == handles_.end()) return Status::InvalidArgument("bad fd");
   Handle& h = it->second;
@@ -269,7 +264,7 @@ Status Pmfs::Fsync(Fd fd) {
 }
 
 Status Pmfs::Truncate(Fd fd, uint64_t new_size) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   auto it = handles_.find(fd);
   if (it == handles_.end()) return Status::InvalidArgument("bad fd");
   Handle& h = it->second;
@@ -300,14 +295,13 @@ Status Pmfs::Truncate(Fd fd, uint64_t new_size) {
 }
 
 uint64_t Pmfs::Size(Fd fd) const {
-  std::lock_guard<std::mutex> guard(mu_);
   auto it = handles_.find(fd);
   if (it == handles_.end()) return 0;
   return InodeAt(it->second.inode_idx)->size;
 }
 
 Status Pmfs::Delete(const std::string& name) {
-  std::lock_guard<std::mutex> guard(mu_);
+  owner_.Check("Pmfs");
   for (size_t i = 0; i < super()->num_inodes; i++) {
     Inode* inode = InodeAt(i);
     if (!inode->used ||
@@ -331,7 +325,6 @@ Status Pmfs::Delete(const std::string& name) {
 }
 
 bool Pmfs::Exists(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mu_);
   for (size_t i = 0; i < super()->num_inodes; i++) {
     const Inode* inode = InodeAt(i);
     if (inode->used &&
@@ -343,7 +336,6 @@ bool Pmfs::Exists(const std::string& name) const {
 }
 
 std::vector<std::string> Pmfs::List() const {
-  std::lock_guard<std::mutex> guard(mu_);
   std::vector<std::string> names;
   for (size_t i = 0; i < super()->num_inodes; i++) {
     const Inode* inode = InodeAt(i);
@@ -353,7 +345,6 @@ std::vector<std::string> Pmfs::List() const {
 }
 
 uint64_t Pmfs::TotalBlockBytes() const {
-  std::lock_guard<std::mutex> guard(mu_);
   uint64_t total = 0;
   for (size_t i = 0; i < super()->num_inodes; i++) {
     const Inode* inode = InodeAt(i);
@@ -366,7 +357,6 @@ uint64_t Pmfs::TotalBlockBytes() const {
 }
 
 uint64_t Pmfs::FileBlockBytes(const std::string& name) const {
-  std::lock_guard<std::mutex> guard(mu_);
   for (size_t i = 0; i < super()->num_inodes; i++) {
     const Inode* inode = InodeAt(i);
     if (inode->used &&

@@ -2,12 +2,12 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "nvm/pmem_allocator.h"
+#include "nvm/thread_owner.h"
 
 namespace nvmdb {
 
@@ -32,6 +32,9 @@ struct PmfsConfig {
 /// Durability: data written with Write()/Append() is volatile (sitting in
 /// the simulated CPU cache) until Fsync() flushes the file's dirty blocks
 /// and inode. This mirrors how the traditional engines obtain durability.
+///
+/// Thread-confined like the allocator under it: no locks, and debug builds
+/// abort on a mutation from a second thread.
 class Pmfs {
  public:
   using Fd = int;
@@ -80,7 +83,7 @@ class Pmfs {
   PmfsConfig config_;
   uint64_t super_offset_ = 0;
 
-  mutable std::mutex mu_;
+  [[no_unique_address]] ThreadOwner owner_;  // thread-confined, no locks
   struct Handle {
     int inode_idx = -1;
     // Block indices needing flush, in append order with possible

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/bloom_filter.h"
 #include "common/compress.h"
@@ -216,6 +220,87 @@ TEST(CompressTest, OverlappingMatches) {
   std::string output;
   ASSERT_TRUE(LzDecompress(Slice(compressed), &output));
   EXPECT_EQ(output, input);
+}
+
+// Fixed compression corpus: edge sizes, runs longer than the longest
+// match, periodic data, incompressible bytes, repeats just inside and
+// just outside the 64 KB window, and checkpoint-like tuple records.
+std::vector<std::pair<std::string, std::string>> GoldenCorpus() {
+  std::vector<std::pair<std::string, std::string>> corpus;
+  corpus.emplace_back("empty", "");
+  corpus.emplace_back("tiny", "abc");
+  corpus.emplace_back("quad", "abcd");
+  corpus.emplace_back("run", std::string(5000, 'a'));
+  std::string periodic;
+  for (int i = 0; i < 1000; i++) periodic += "abcdefgh";
+  corpus.emplace_back("periodic", periodic);
+  Random rng(1);
+  std::string noise;
+  for (int i = 0; i < 100000; i++) {
+    noise.push_back(static_cast<char>(rng.Uniform(256)));
+  }
+  corpus.emplace_back("noise", noise);
+  // A block repeated at distance 65536 (inside the window) and again at
+  // distance 65537 + 16 (outside it).
+  std::string window = noise.substr(0, 65536);
+  window += noise.substr(0, 4096);
+  window += noise.substr(70000, 16);
+  window += noise.substr(1, 4096);
+  corpus.emplace_back("window", window);
+  std::string records;
+  const char* words[] = {"alpha", "beta", "gamma", "delta", "epsilon",
+                         "zeta",  "eta",  "theta", "iota",  "kappa"};
+  for (uint64_t id = 0; id < 20000; id++) {
+    std::string rec;
+    rec.append(reinterpret_cast<const char*>(&id), 8);
+    const uint64_t field = rng.Uniform(1000) * 100;
+    rec.append(reinterpret_cast<const char*>(&field), 8);
+    const size_t nwords = 1 + rng.Uniform(6);
+    for (size_t w = 0; w < nwords; w++) {
+      rec += words[rng.Uniform(rng.Percent(80) ? 3 : 10)];
+    }
+    const uint32_t len = static_cast<uint32_t>(rec.size());
+    records.append(reinterpret_cast<const char*>(&len), 4);
+    records += rec;
+  }
+  corpus.emplace_back("records", records);
+  return corpus;
+}
+
+// LzCompress output is part of the model (checkpoint files are written
+// through the simulated device), so its bytes are pinned: size and CRC of
+// each corpus entry's compressed form.
+TEST(CompressTest, GoldenOutput) {
+  struct Expected {
+    const char* name;
+    size_t input_bytes;
+    size_t output_bytes;
+    uint32_t crc;
+  };
+  const Expected expected[] = {
+      {"empty", 0, 1, 0x527D5351u},
+      {"tiny", 3, 6, 0x579BA2A4u},
+      {"quad", 4, 7, 0x243450FAu},
+      {"run", 5000, 103, 0xFB275251u},
+      {"periodic", 8000, 166, 0x8F98CAE3u},
+      {"noise", 100000, 100007, 0xBF0F6DD0u},
+      {"window", 73744, 66054, 0x5401FA2Bu},
+      {"records", 726388, 478281, 0xB633B06Cu},
+  };
+  const auto corpus = GoldenCorpus();
+  ASSERT_EQ(corpus.size(), std::size(expected));
+  for (size_t i = 0; i < corpus.size(); i++) {
+    const auto& [name, input] = corpus[i];
+    SCOPED_TRACE(name);
+    EXPECT_EQ(name, expected[i].name);
+    EXPECT_EQ(input.size(), expected[i].input_bytes);
+    const std::string compressed = LzCompress(Slice(input));
+    EXPECT_EQ(compressed.size(), expected[i].output_bytes);
+    EXPECT_EQ(Crc32c(compressed.data(), compressed.size()), expected[i].crc);
+    std::string output;
+    ASSERT_TRUE(LzDecompress(Slice(compressed), &output));
+    EXPECT_EQ(output, input);
+  }
 }
 
 TEST(CompressTest, RejectsGarbage) {

@@ -197,6 +197,206 @@ TEST_P(CowBTreeTest, DeleteAllThenReuse) {
   EXPECT_EQ(v, "fresh");
 }
 
+// --- Seeded mix with pinned model counters ---------------------------------
+
+// A private device with a small CPU cache (so the mix causes misses and
+// write-backs) and, for the PMFS store, a 3-page page cache (so views are
+// evicted and their frame buffers recycled mid-operation).
+class MixRig {
+ public:
+  explicit MixRig(StoreKind kind)
+      : kind_(kind),
+        device_(16ull * 1024 * 1024, NvmLatencyConfig::Dram(),
+                CacheConfig{64 * 1024, 64, 8, false}) {
+    allocator_ = std::make_unique<PmemAllocator>(&device_);
+    fs_ = std::make_unique<Pmfs>(allocator_.get());
+    Open();
+  }
+
+  CowBTree& tree() { return *tree_; }
+  NvmDevice& device() { return device_; }
+
+  /// Power failure, then restart on the durable image and collect the
+  /// dead dirty directory.
+  void CrashAndRecover() {
+    tree_.reset();
+    store_.reset();
+    device_.Crash();
+    allocator_ = std::make_unique<PmemAllocator>(&device_, false);
+    fs_ = std::make_unique<Pmfs>(allocator_.get());
+    Open();
+    tree_->GarbageCollect();
+  }
+
+ private:
+  void Open() {
+    if (kind_ == StoreKind::kPmfs) {
+      store_ = std::make_unique<PmfsPageStore>(fs_.get(), "mix.db", 4096, 3,
+                                               StorageTag::kTable);
+    } else {
+      store_ = std::make_unique<NvmPageStore>(allocator_.get(), "mix", 4096,
+                                              StorageTag::kIndex);
+    }
+    tree_ = std::make_unique<CowBTree>(store_.get());
+  }
+
+  StoreKind kind_;
+  NvmDevice device_;
+  std::unique_ptr<PmemAllocator> allocator_;
+  std::unique_ptr<Pmfs> fs_;
+  std::unique_ptr<PageStore> store_;
+  std::unique_ptr<CowBTree> tree_;
+};
+
+// Puts, updates, deletes, gets and scans (whose callbacks read the tree
+// again) with commits, aborts, a crash and a GC; the tree must match a
+// std::map at every step, and the modeled device counters must equal the
+// values this exact mix produced with the copy-based page API — page views
+// and in-place page edits change no charged byte range.
+TEST_P(CowBTreeTest, SeededMixMatchesMapAndPinnedCounters) {
+  NvmEnv::Set(nullptr);
+  MixRig rig(GetParam());
+  std::map<uint64_t, std::string> committed;
+  std::map<uint64_t, std::string> dirty;
+  Random rng(42);
+  auto check_get = [&](uint64_t key) {
+    std::string v;
+    const auto it = dirty.find(key);
+    ASSERT_EQ(rig.tree().Get(key, &v), it != dirty.end()) << key;
+    if (it != dirty.end()) {
+      ASSERT_EQ(v, it->second) << key;
+    }
+  };
+  for (int op = 0; op < 6000; op++) {
+    const uint64_t key = rng.Uniform(1200);
+    const uint64_t roll = rng.Uniform(100);
+    if (roll < 35) {  // insert or overwrite, sizes that force splits
+      std::string value = rng.String(8 + rng.Uniform(400));
+      ASSERT_TRUE(rig.tree().Put(key, Slice(value)));
+      dirty[key] = std::move(value);
+    } else if (roll < 45 && !dirty.empty()) {  // update an existing key
+      auto it = dirty.lower_bound(key);
+      if (it == dirty.end()) it = dirty.begin();
+      std::string value = rng.String(1 + rng.Uniform(64));
+      ASSERT_TRUE(rig.tree().Put(it->first, Slice(value)));
+      it->second = std::move(value);
+    } else if (roll < 60) {
+      ASSERT_EQ(rig.tree().Delete(key), dirty.erase(key) > 0) << key;
+    } else if (roll < 80) {
+      check_get(key);
+    } else {
+      // Scan [key, key + 40]; each callback first reads two other keys
+      // through the tree, then checks the value it was handed.
+      auto it = dirty.lower_bound(key);
+      size_t seen = 0;
+      rig.tree().Scan(key, key + 40, [&](uint64_t k, const Slice& v) {
+        check_get(rng.Uniform(1200));
+        check_get(k + 1);
+        EXPECT_TRUE(it != dirty.end() && it->first == k) << k;
+        if (it == dirty.end()) return false;
+        EXPECT_EQ(v.ToString(), it->second) << k;
+        ++it;
+        return ++seen < 25;
+      });
+      if (seen < 25) {
+        EXPECT_TRUE(it == dirty.end() || it->first > key + 40);
+      }
+    }
+    if (op % 97 == 96) {
+      rig.tree().Commit();
+      committed = dirty;
+    } else if (op % 211 == 210) {
+      rig.tree().Abort();
+      dirty = committed;
+    }
+    if (op == 4000) {
+      rig.CrashAndRecover();
+      dirty = committed;
+    }
+  }
+  rig.tree().Commit();
+  auto it = dirty.begin();
+  rig.tree().Scan(0, ~0ull, [&](uint64_t k, const Slice& v) {
+    EXPECT_TRUE(it != dirty.end() && it->first == k) << k;
+    if (it == dirty.end()) return false;
+    EXPECT_EQ(v.ToString(), it->second);
+    ++it;
+    return true;
+  });
+  EXPECT_TRUE(it == dirty.end());
+
+  struct Expected {
+    uint64_t loads, stores, hits, syncs, stall_ns;
+  };
+  const Expected expected = GetParam() == StoreKind::kPmfs
+                                ? Expected{3017351, 380593, 4580847, 1943,
+                                           537005001}
+                                : Expected{1076439, 171450, 4871168, 3177,
+                                           187161444};
+  const NvmCounters c = rig.device().counters();
+  EXPECT_EQ(c.loads, expected.loads);
+  EXPECT_EQ(c.stores, expected.stores);
+  EXPECT_EQ(c.hits, expected.hits);
+  EXPECT_EQ(c.sync_calls, expected.syncs);
+  EXPECT_EQ(c.stall_ns, expected.stall_ns);
+}
+
+// Enough leaves to split inner nodes (an inner page holds 255 keys), then
+// deletes that empty whole subtrees and collapse the root; the device
+// counters are pinned like the mix above.
+TEST_P(CowBTreeTest, DeepTreeSplitsInnerNodesAndCollapses) {
+  NvmEnv::Set(nullptr);
+  MixRig rig(GetParam());
+  std::map<uint64_t, std::string> model;
+  Random rng(9);
+  for (uint64_t i = 0; i < 40000; i++) {
+    const uint64_t key = (i * 7919) % 40000;
+    std::string value = rng.String(60 + rng.Uniform(120));
+    ASSERT_TRUE(rig.tree().Put(key, Slice(value)));
+    model[key] = std::move(value);
+    if (i % 1000 == 999) rig.tree().Commit();
+  }
+  rig.tree().Commit();
+  EXPECT_GT(rig.tree().PageCount(), 1000u);
+  for (uint64_t key = 0; key < 40000; key++) {
+    if (key % 1000 == 7) continue;  // keep a sparse tail of keys
+    ASSERT_TRUE(rig.tree().Delete(key)) << key;
+    model.erase(key);
+    if (key % 5000 == 4999) rig.tree().Commit();
+  }
+  rig.tree().Commit();
+  EXPECT_LT(rig.tree().PageCount(), 60u);
+  auto it = model.begin();
+  rig.tree().Scan(0, ~0ull, [&](uint64_t k, const Slice& v) {
+    EXPECT_TRUE(it != model.end() && it->first == k) << k;
+    if (it == model.end()) return false;
+    EXPECT_EQ(v.ToString(), it->second);
+    ++it;
+    return true;
+  });
+  EXPECT_TRUE(it == model.end());
+  for (uint64_t key = 7; key < 40000; key += 1000) {
+    std::string v;
+    ASSERT_TRUE(rig.tree().Get(key, &v));
+    EXPECT_EQ(v, model[key]);
+  }
+
+  struct Expected {
+    uint64_t loads, stores, hits, syncs, stall_ns;
+  };
+  const Expected expected = GetParam() == StoreKind::kPmfs
+                                ? Expected{15548770, 11002922, 28220503,
+                                           40237, 2833739409}
+                                : Expected{5417943, 3418458, 27664428, 62513,
+                                           956115464};
+  const NvmCounters c = rig.device().counters();
+  EXPECT_EQ(c.loads, expected.loads);
+  EXPECT_EQ(c.stores, expected.stores);
+  EXPECT_EQ(c.hits, expected.hits);
+  EXPECT_EQ(c.sync_calls, expected.syncs);
+  EXPECT_EQ(c.stall_ns, expected.stall_ns);
+}
+
 INSTANTIATE_TEST_SUITE_P(Stores, CowBTreeTest,
                          ::testing::Values(StoreKind::kPmfs,
                                            StoreKind::kNvm),
