@@ -74,6 +74,51 @@ void BM_FlushHeavy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 
+/// Resident whole-page visit: one 4 KB AccessEx over 64 lines that are
+/// all cached, the shape of every CoW/NVM-CoW page read and of the
+/// engines' page-sized NvmDevice ranges. Items are lines, so the result is
+/// the per-line cost of the resident-hit path (the line→slot memo).
+void BM_PageHit(benchmark::State& state) {
+  CacheSim cache(BenchCacheConfig(), {});
+  constexpr uint64_t kPage = 4096;
+  constexpr uint64_t kWorkingSet = 256 * 1024;  // 64 pages, resident
+  for (uint64_t a = 0; a < kWorkingSet; a += kPage) {
+    cache.Access(a, kPage, false);
+  }
+  uint64_t addr = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.AccessEx(addr, kPage, false));
+    addr = (addr + kPage) & (kWorkingSet - 1);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kPage / 64));
+  state.counters["hit_rate"] =
+      static_cast<double>(cache.hits()) /
+      static_cast<double>(cache.hits() + cache.misses());
+}
+
+/// Worst case of the memo: two resident lines one memo span apart (the
+/// memo has two entries per cache line, so lines 2 x capacity bytes apart
+/// share an entry), accessed alternately. Each lookup finds the other
+/// line's slot, fails the check and falls back to the set probe, so this
+/// is the memo-miss hit path: probe plus one wasted compare per line.
+void BM_MemoConflict(benchmark::State& state) {
+  const CacheConfig cfg = BenchCacheConfig();
+  CacheSim cache(cfg, {});
+  const uint64_t span = 2 * cfg.capacity_bytes;
+  const uint64_t lines[2] = {64, 64 + span};
+  for (const uint64_t a : lines) cache.Access(a, 8, false);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Access(lines[i], 8, false));
+    i ^= 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hit_rate"] =
+      static_cast<double>(cache.hits()) /
+      static_cast<double>(cache.hits() + cache.misses());
+}
+
 /// Set-probe cost in isolation, hit side: every access finds its line, so
 /// the timed work is exactly the way-probe (SIMD broadcast-compare or the
 /// scalar loop, per the `scalar` flag) plus the LRU bump. The working set
@@ -238,6 +283,8 @@ void BM_TupleRoundtrip(benchmark::State& state) {
 BENCHMARK(BM_HitDominated);
 BENCHMARK(BM_MissDominated);
 BENCHMARK(BM_FlushHeavy);
+BENCHMARK(BM_PageHit);
+BENCHMARK(BM_MemoConflict);
 BENCHMARK_CAPTURE(BM_ProbeHit, simd, /*scalar=*/false);
 BENCHMARK_CAPTURE(BM_ProbeHit, scalar, /*scalar=*/true);
 BENCHMARK_CAPTURE(BM_ProbeMiss, simd, /*scalar=*/false);

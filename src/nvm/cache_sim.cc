@@ -58,9 +58,21 @@ CacheSim::CacheSim(const CacheConfig& config, CacheCallbacks callbacks)
   const size_t num_sets =
       CeilPow2(std::max<size_t>(1, num_lines / associativity_));
   set_mask_ = num_sets - 1;
+  const size_t num_slots = num_sets * associativity_;
+  if (num_slots > (uint64_t{1} << 32)) {
+    // The memo stores slots as uint32_t.
+    std::fprintf(stderr,
+                 "CacheSim: %zu sets x %zu ways do not fit 32-bit slots\n",
+                 num_sets, associativity_);
+    std::abort();
+  }
 
-  entries_.assign(num_sets * associativity_, kInvalidEntry);
-  stamps_.assign(num_sets * associativity_, 0);
+  entries_.assign(num_slots, kInvalidEntry);
+  stamps_.assign(num_slots, 0);
+  // Two memo entries per line. Zero is a valid slot, and the check before
+  // every use makes the initial contents harmless.
+  memo_.assign(CeilPow2(2 * num_slots), 0);
+  memo_mask_ = memo_.size() - 1;
 }
 
 #if NVMDB_STREAM_CHECKS

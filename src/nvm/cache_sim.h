@@ -93,6 +93,21 @@ struct CacheAccessResult {
 /// indexed [set][way]; no per-set or per-way heap nodes exist, so a set
 /// probe is a short linear scan over adjacent memory.
 ///
+/// A line→slot memo (slot = set × ways + way) sits in front of the set
+/// probe: a `uint32_t` per memo entry, two entries per simulated line,
+/// indexed by `line_index & mask` and written on every probe hit and
+/// every fill. The memo is verified, never trusted: a line lookup reads
+/// the remembered slot and takes it only if that entry holds the line
+/// (dirty bit masked); otherwise it hashes the set and probes as before.
+/// A line occupies at most one way, and only in its own set, so a slot
+/// that holds the line is exactly the slot the probe would have found.
+/// Misses take the unchanged probe + victim path. So LRU stamps, victims,
+/// write-back order, counters and callbacks are bit-identical to a cache
+/// without the memo, and nothing resets it: a stale entry (after
+/// DropDirty, an invalidating flush or an eviction) simply fails the
+/// check. It costs 8 B per simulated line: 128 KB for a 1 MB cache, 4 MB
+/// for the 20 MB default (32 MB effective).
+///
 /// An instance is thread-confined: exactly one thread ever accesses it
 /// (every benchmark cell and every Database is driven on one thread), so
 /// the access path takes no locks and counts with plain increments.
@@ -120,7 +135,7 @@ class CacheSim {
   /// separate AccessEx calls over the same sub-ranges would produce:
   /// segments visit their lines in address order, and a line shared by
   /// two adjacent segments is visited once per segment (the later visits
-  /// are guaranteed hits, replayed without re-probing the set).
+  /// are guaranteed hits, which the memo resolves without a set probe).
   /// Zero-length segments model nothing, matching the `if (!empty)
   /// Access(...)` call sites this API coalesces. `result.lines` carries
   /// the total visit count so the caller can charge hit latency as
@@ -140,12 +155,10 @@ class CacheSim {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return false;
     owner_.Check("CacheSim");
-    const size_t base = SetOf(idx) * associativity_;
-    uint64_t* const ways = &entries_[base];
-    const int w = FindWayInline(ways, idx << 1);
-    if (w < 0) return false;
-    stamps_[base + static_cast<size_t>(w)] = ++lru_clock_;
-    if (is_write) ways[w] |= 1;
+    const size_t slot = ResidentSlotInline(idx);
+    if (slot == kNoSlot) return false;
+    stamps_[slot] = ++lru_clock_;
+    if (is_write) entries_[slot] |= 1;
     hits_++;
     return true;
   }
@@ -165,23 +178,8 @@ class CacheSim {
     const uint64_t idx = addr >> line_shift_;
     if (((addr + size - 1) >> line_shift_) != idx) return -1;
     owner_.Check("CacheSim");
-    uint64_t* const ways = &entries_[SetOf(idx) * associativity_];
-    const uint64_t match = idx << 1;
-    int flushed = 0;
-    const int w = FindWayInline(ways, match);
-    if (w >= 0) {
-      if (ways[w] & 1) {
-        flushed = 1;
-        write_backs_++;
-        if (callbacks_.write_back) {
-          callbacks_.write_back(callbacks_.ctx, idx << line_shift_,
-                                line_size_);
-        }
-        ways[w] = match;  // clean
-      }
-      if (invalidate) ways[w] = kInvalidEntry;
-    }
-    return flushed;
+    const size_t slot = ResidentSlotInline(idx);
+    return slot == kNoSlot ? 0 : FlushSlot(slot, idx, invalidate);
   }
 
   /// Write back every dirty line (used by e.g. full-device sync in tests).
@@ -221,6 +219,43 @@ class CacheSim {
     return h & set_mask_;
   }
 
+  // ResidentSlot's "not resident" result.
+  static constexpr size_t kNoSlot = ~size_t{0};
+
+  // Slot holding line `idx`, or kNoSlot when the line is not resident.
+  // The memo is tried first and verified against the entry; only a memo
+  // miss hashes the set and probes it with `find_way(ways, match)`, and a
+  // probe hit re-points the memo at the slot it found.
+  template <typename FindWayFn>
+  size_t ResidentSlot(uint64_t idx, FindWayFn find_way) {
+    const uint64_t match = idx << 1;
+    uint32_t& memo = memo_[idx & memo_mask_];
+    if ((entries_[memo] & ~uint64_t{1}) == match) [[likely]] return memo;
+    const size_t base = SetOf(idx) * associativity_;
+    const int w = find_way(&entries_[base], match);
+    if (w < 0) return kNoSlot;
+    memo = static_cast<uint32_t>(base + static_cast<size_t>(w));
+    return memo;
+  }
+
+  // CLFLUSH/CLWB of resident line `idx` in `slot`: write it back if dirty
+  // (leaving it clean), then evict it when `invalidate`. Returns the
+  // number of lines written back (0 or 1).
+  int FlushSlot(size_t slot, uint64_t idx, bool invalidate) {
+    int flushed = 0;
+    if (entries_[slot] & 1) {
+      flushed = 1;
+      write_backs_++;
+      if (callbacks_.write_back) {
+        callbacks_.write_back(callbacks_.ctx, idx << line_shift_,
+                              line_size_);
+      }
+      entries_[slot] = idx << 1;  // clean
+    }
+    if (invalidate) entries_[slot] = kInvalidEntry;
+    return flushed;
+  }
+
   // Inner loops behind the public dispatchers, instantiated per probe
   // kind, which selects the SIMD width of the set scans with zero
   // per-line dispatch. Bodies live in cache_sim_inl.h — included by
@@ -234,22 +269,27 @@ class CacheSim {
   template <ProbeKind K>
   size_t FlushRangeImpl(uint64_t addr, size_t size, bool invalidate);
 
-  // Touch one line of set `set`. Returns 1 if the line missed and adds
-  // any dirty-victim write-back to `result`; `*way_out` receives the way
-  // the line now occupies (the segmented walk caches it for boundary-line
-  // re-visits). Force-inlined into the per-line loops: at ~8.5 lines per
-  // engine access the call overhead alone profiled as the single hottest
-  // entry in the whole bench suite, and GCC's size heuristics refuse the
-  // inline on their own. Defined in cache_sim_inl.h.
+  // Visit one line: find it (memo, then set probe) or, on a miss, fill
+  // it (FillT); then stamp it with the next LRU clock value, kept in
+  // `*clock` (the caller's register copy of lru_clock_), and dirty it on
+  // a write. Misses are counted by FillT; the caller
+  // adds the hits (visits - misses) once per call. Force-inlined into the
+  // per-line loops: GCC's size heuristics refuse the inline on their own,
+  // and the call overhead profiled as the hottest entry of the suite.
   template <ProbeKind K>
 #if defined(__GNUC__)
   __attribute__((always_inline))
 #endif
-  inline uint32_t AccessLineT(size_t set, uint64_t line_index,
-                              bool is_write, CacheAccessResult* result,
-                              size_t* way_out);
+  inline void TouchLineT(uint64_t line_index, bool is_write,
+                         uint64_t* clock, CacheAccessResult* result);
 
-  /// Probe used by the header-inlined Owner*Fast paths: baseline SSE2 on
+  // Miss path of TouchLineT: evict the victim of the set at slot `base`
+  // (writing it back when dirty) and install the line clean. Counts the
+  // miss in misses_ and `result`; returns the slot.
+  template <ProbeKind K>
+  size_t FillT(uint64_t line_index, size_t base, CacheAccessResult* result);
+
+  /// Set probe of the header-inlined Owner*Fast paths: baseline SSE2 on
   /// x86-64 (no target attribute needed, so it inlines into callers in
   /// any translation unit) with a one-branch fallback honoring the
   /// forced-scalar override. The out-of-line loops upgrade to AVX2 when
@@ -261,6 +301,13 @@ class CacheSim {
     }
 #endif
     return probe::FindWayScalar(ways, associativity_, match);
+  }
+
+  // Resident slot of `idx` for the Owner*Fast paths (FindWayInline probe).
+  size_t ResidentSlotInline(uint64_t idx) {
+    return ResidentSlot(idx, [this](const uint64_t* ways, uint64_t match) {
+      return FindWayInline(ways, match);
+    });
   }
 
 #if NVMDB_STREAM_CHECKS
@@ -283,6 +330,10 @@ class CacheSim {
   // Flat [set][way] metadata; entries_ and stamps_ are parallel.
   std::vector<uint64_t> entries_;
   std::vector<uint64_t> stamps_;
+  // Line→slot memo (see the class comment): memo_[line_index & memo_mask_]
+  // is the slot the line last occupied, checked before every use.
+  std::vector<uint32_t> memo_;
+  uint64_t memo_mask_;
   uint64_t lru_clock_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -12,33 +12,15 @@
 namespace nvmdb {
 
 template <ProbeKind K>
-inline uint32_t CacheSim::AccessLineT(size_t set, uint64_t line_index,
-                                      bool is_write,
-                                      CacheAccessResult* result,
-                                      size_t* way_out) {
-  uint64_t* const ways = &entries_[set * associativity_];
-  uint64_t* const stamps = &stamps_[set * associativity_];
-  const uint64_t match = line_index << 1;
-
-  // Hit probe first, over the packed entries alone: the common case
-  // touches half the metadata (no stamps, no victim bookkeeping), and the
-  // SIMD kinds resolve all 16 default ways in a handful of
-  // compare+movemask steps.
-  const int w = probe::SetProbe<K>::FindWay(ways, associativity_, match);
-  if (w >= 0) {
-    stamps[w] = ++lru_clock_;
-    if (is_write) ways[w] |= 1;
-    hits_++;
-    *way_out = static_cast<size_t>(w);
-    return 0;
-  }
-
-  // Miss: pick the victim — the last empty way if any exists, else the
-  // first LRU-minimal way (identical choice to the seed's one-pass scan)
-  // — write it back if dirty, then fill.
+inline size_t CacheSim::FillT(uint64_t line_index, size_t base,
+                              CacheAccessResult* result) {
+  uint64_t* const ways = &entries_[base];
+  // The victim: the last empty way if any exists, else the first
+  // LRU-minimal way (identical choice to the seed's one-pass scan).
   const size_t victim =
-      probe::SetProbe<K>::FindVictim(ways, stamps, associativity_);
+      probe::SetProbe<K>::FindVictim(ways, &stamps_[base], associativity_);
   misses_++;
+  result->missed++;
   const uint64_t evicted = ways[victim];
   if (evicted != kInvalidEntry && (evicted & 1)) {
     write_backs_++;
@@ -51,11 +33,36 @@ inline uint32_t CacheSim::AccessLineT(size_t set, uint64_t line_index,
   if (callbacks_.fill) {
     callbacks_.fill(callbacks_.ctx, line_index << line_shift_, line_size_);
   }
-  ways[victim] = match | (is_write ? 1 : 0);
-  stamps[victim] = ++lru_clock_;
-  *way_out = victim;
-  return 1;
+  ways[victim] = line_index << 1;
+  return base + victim;
 }
+
+template <ProbeKind K>
+inline void CacheSim::TouchLineT(uint64_t line_index, bool is_write,
+                                 uint64_t* clock,
+                                 CacheAccessResult* result) {
+  // ResidentSlot, with the set kept for the fill on a miss.
+  const uint64_t match = line_index << 1;
+  uint32_t& memo = memo_[line_index & memo_mask_];
+  size_t slot = memo;
+  if ((entries_[slot] & ~uint64_t{1}) != match) [[unlikely]] {
+    const size_t base = SetOf(line_index) * associativity_;
+    // The SIMD kinds resolve all 16 default ways in a handful of
+    // compare+movemask steps over the packed entries alone.
+    const int w =
+        probe::SetProbe<K>::FindWay(&entries_[base], associativity_, match);
+    slot = w >= 0 ? base + static_cast<size_t>(w)
+                  : FillT<K>(line_index, base, result);
+    memo = static_cast<uint32_t>(slot);
+  }
+  stamps_[slot] = ++*clock;
+  if (is_write) entries_[slot] |= 1;
+}
+
+// The line loops below count on a register copy of lru_clock_ and add the
+// hits once per call: the compiler cannot prove that the stores into
+// stamps_ and entries_ leave the counter members alone, so it would load
+// and store them again on every line.
 
 template <ProbeKind K>
 CacheAccessResult CacheSim::AccessExImpl(uint64_t addr, size_t size,
@@ -63,22 +70,12 @@ CacheAccessResult CacheSim::AccessExImpl(uint64_t addr, size_t size,
   CacheAccessResult result;
   const uint64_t first = addr >> line_shift_;
   const uint64_t last = (addr + size - 1) >> line_shift_;
-
+  uint64_t clock = lru_clock_;
   for (uint64_t idx = first; idx <= last; idx++) {
-    const size_t set = SetOf(idx);
-#if defined(__GNUC__)
-    if (idx < last) {
-      // Overlap the next line's metadata fetch with this probe: adjacent
-      // lines hash to unrelated sets by design (SetOf), so the next set's
-      // entries and stamps are never the memory being scanned right now.
-      const size_t nslot = SetOf(idx + 1) * associativity_;
-      __builtin_prefetch(&entries_[nslot]);
-      __builtin_prefetch(&stamps_[nslot]);
-    }
-#endif
-    size_t way;
-    result.missed += AccessLineT<K>(set, idx, is_write, &result, &way);
+    TouchLineT<K>(idx, is_write, &clock, &result);
   }
+  lru_clock_ = clock;
+  hits_ += (last - first + 1) - result.missed;
   return result;
 }
 
@@ -92,11 +89,7 @@ CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
   std::vector<uint64_t> visited;
 #endif
   CacheAccessResult result;
-  // The line visited last, so a segment boundary falling inside it can be
-  // replayed as the guaranteed hit it is without re-probing the set.
-  uint64_t prev_idx = ~0ull;
-  size_t prev_slot = 0;
-
+  uint64_t clock = lru_clock_;
   for (size_t s = 0; s < num_segments; s++) {
     const uint32_t len = lens[s];
     if (len == 0) continue;  // the call it replaces was skipped entirely
@@ -108,23 +101,13 @@ CacheAccessResult CacheSim::AccessSegmentsImpl(uint64_t addr,
 #if NVMDB_STREAM_CHECKS
       visited.push_back(idx);
 #endif
-      if (idx == prev_idx) {
-        // The previous segment ended inside this line: the uncoalesced
-        // stream re-probes and re-hits it, so replay exactly that hit's
-        // bookkeeping (fresh LRU stamp, dirty marking, hit count) against
-        // the slot the line is known to occupy.
-        stamps_[prev_slot] = ++lru_clock_;
-        if (is_write) entries_[prev_slot] |= 1;
-        hits_++;
-        continue;
-      }
-      const size_t set = SetOf(idx);
-      size_t way;
-      result.missed += AccessLineT<K>(set, idx, is_write, &result, &way);
-      prev_idx = idx;
-      prev_slot = set * associativity_ + way;
+      // A line shared with the previous segment is visited again, as the
+      // uncoalesced calls would; the memo resolves that re-visit.
+      TouchLineT<K>(idx, is_write, &clock, &result);
     }
   }
+  lru_clock_ = clock;
+  hits_ += result.lines - result.missed;
 
 #if NVMDB_STREAM_CHECKS
   // Re-derive the uncoalesced stream — every non-empty segment visits its
@@ -157,21 +140,12 @@ size_t CacheSim::FlushRangeImpl(uint64_t addr, size_t size,
   const uint64_t last = (addr + size - 1) >> line_shift_;
   size_t flushed = 0;
 
+  const auto find_way = [this](const uint64_t* ways, uint64_t match) {
+    return probe::SetProbe<K>::FindWay(ways, associativity_, match);
+  };
   for (uint64_t idx = first; idx <= last; idx++) {
-    uint64_t* const ways = &entries_[SetOf(idx) * associativity_];
-    const uint64_t match = idx << 1;
-    const int w = probe::SetProbe<K>::FindWay(ways, associativity_, match);
-    if (w < 0) continue;
-    if (ways[w] & 1) {
-      flushed++;
-      write_backs_++;
-      if (callbacks_.write_back) {
-        callbacks_.write_back(callbacks_.ctx, idx << line_shift_,
-                              line_size_);
-      }
-      ways[w] = match;  // clean
-    }
-    if (invalidate) ways[w] = kInvalidEntry;
+    const size_t slot = ResidentSlot(idx, find_way);
+    if (slot != kNoSlot) flushed += FlushSlot(slot, idx, invalidate);
   }
   return flushed;
 }

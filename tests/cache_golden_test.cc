@@ -5,6 +5,7 @@
 /// identical — the fast path is an optimization, never a model change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -195,25 +196,138 @@ CacheCallbacks EventRecorder(std::vector<Event>* events) {
   return callbacks;
 }
 
-/// Drives the randomized trace through the reference model and through a
-/// fast CacheSim (inlinable hit/flush paths plus the out-of-line loops)
-/// and a forced-scalar instance: the SIMD probe (SSE2/AVX2, whatever
-/// ResolveProbeKind picked on this CPU) and the scalar loop must both
-/// reproduce the reference's hit/miss/write-back sequences exactly. The
-/// trace also issues segmented accesses, which the reference models as the
-/// uncoalesced adjacent calls and the fast caches as one AccessSegments.
+/// The reference model and two fast CacheSims — the dispatch-selected
+/// SIMD probe (SSE2/AVX2, whatever ResolveProbeKind picked on this CPU)
+/// and a forced-scalar instance — driven in lockstep: every op goes to
+/// all three, its result must match, and so must the hit/miss/write-back
+/// event sequences. The fast caches are driven the way NvmDevice drives
+/// them (inlined single-line fast paths first, then the out-of-line
+/// loops); segmented accesses go to the reference as the uncoalesced
+/// adjacent calls and to the fast caches as one AccessSegments.
+class Lockstep {
+ public:
+  explicit Lockstep(const CacheConfig& cfg)
+      : line_size_(cfg.line_size),
+        reference_(cfg, &ref_events_),
+        owner_(cfg, EventRecorder(&owner_events_)),
+        scalar_(ScalarConfig(cfg), EventRecorder(&scalar_events_)) {}
+
+  void Access(uint64_t addr, size_t size, bool is_write) {
+    const size_t expected = reference_.Access(addr, size, is_write);
+    for (CacheSim* fast : {&owner_, &scalar_}) {
+      // A fast-path hit is a zero-miss access.
+      const size_t missed = fast->OwnerHitFast(addr, size, is_write)
+                                ? 0
+                                : fast->Access(addr, size, is_write);
+      ASSERT_EQ(expected, missed) << "op " << op_;
+    }
+    EndOp();
+  }
+
+  void Segments(uint64_t addr, const uint32_t* lens, size_t nseg,
+                bool is_write) {
+    // The reference skips empty segments, as the engines' `if (!empty)`
+    // guards did; a line shared by two segments is visited twice.
+    size_t expected = 0;
+    size_t ref_lines = 0;
+    uint64_t seg_addr = addr;
+    for (size_t s = 0; s < nseg; s++) {
+      if (lens[s] != 0) {
+        expected += reference_.Access(seg_addr, lens[s], is_write);
+        ref_lines += (seg_addr + lens[s] - 1) / line_size_ -
+                     seg_addr / line_size_ + 1;
+      }
+      seg_addr += lens[s];
+    }
+    for (CacheSim* fast : {&owner_, &scalar_}) {
+      const CacheAccessResult r =
+          fast->AccessSegments(addr, lens, nseg, is_write);
+      ASSERT_EQ(expected, r.missed) << "op " << op_;
+      ASSERT_EQ(ref_lines, r.lines) << "op " << op_;
+    }
+    EndOp();
+  }
+
+  void Flush(uint64_t addr, size_t size, bool invalidate) {
+    const size_t expected = reference_.FlushRange(addr, size, invalidate);
+    for (CacheSim* fast : {&owner_, &scalar_}) {
+      const int quick = fast->OwnerFlushFast(addr, size, invalidate);
+      const size_t flushed = quick >= 0
+                                 ? static_cast<size_t>(quick)
+                                 : fast->FlushRange(addr, size, invalidate);
+      ASSERT_EQ(expected, flushed) << "op " << op_;
+    }
+    EndOp();
+  }
+
+  void WriteBackAll() {
+    const size_t expected = reference_.WriteBackAll();
+    ASSERT_EQ(expected, owner_.WriteBackAll()) << "op " << op_;
+    ASSERT_EQ(expected, scalar_.WriteBackAll()) << "op " << op_;
+    EndOp();
+  }
+
+  /// Crash: all cached state vanishes, nothing is written back.
+  void DropDirty() {
+    reference_.DropDirty();
+    owner_.DropDirty();
+    scalar_.DropDirty();
+    EndOp();
+  }
+
+  /// Final check: counters and the whole event sequences.
+  void ExpectSameHistory() const {
+    for (const CacheSim* fast : {&owner_, &scalar_}) {
+      EXPECT_EQ(reference_.hits, fast->hits());
+      EXPECT_EQ(reference_.misses, fast->misses());
+      EXPECT_EQ(reference_.write_backs, fast->write_backs());
+    }
+    ASSERT_EQ(ref_events_.size(), owner_events_.size());
+    ASSERT_EQ(ref_events_.size(), scalar_events_.size());
+    for (size_t i = 0; i < ref_events_.size(); i++) {
+      ASSERT_TRUE(ref_events_[i] == owner_events_[i])
+          << "event " << i << ": ref kind " << int(ref_events_[i].kind)
+          << " line " << ref_events_[i].line_addr << " vs owner kind "
+          << int(owner_events_[i].kind) << " line "
+          << owner_events_[i].line_addr;
+      ASSERT_TRUE(ref_events_[i] == scalar_events_[i])
+          << "event " << i << ": ref kind " << int(ref_events_[i].kind)
+          << " line " << ref_events_[i].line_addr << " vs scalar kind "
+          << int(scalar_events_[i].kind) << " line "
+          << scalar_events_[i].line_addr;
+    }
+  }
+
+  ProbeKind scalar_kind() const { return scalar_.probe_kind(); }
+
+ private:
+  static CacheConfig ScalarConfig(CacheConfig cfg) {
+    cfg.force_scalar_probe = true;
+    return cfg;
+  }
+
+  void EndOp() {
+    ASSERT_EQ(ref_events_.size(), owner_events_.size()) << "op " << op_;
+    ASSERT_EQ(ref_events_.size(), scalar_events_.size()) << "op " << op_;
+    op_++;
+  }
+
+  size_t line_size_;
+  std::vector<Event> ref_events_;
+  std::vector<Event> owner_events_;
+  std::vector<Event> scalar_events_;
+  ReferenceCache reference_;
+  CacheSim owner_;
+  CacheSim scalar_;
+  uint64_t op_ = 0;
+};
+
+/// Randomized access/flush/crash trace of 1–256 B ranges (plus segmented
+/// accesses) over `address_space`, in lockstep (see Lockstep).
 void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
               uint64_t address_space) {
-  std::vector<Event> ref_events;
-  std::vector<Event> owner_events;
-  std::vector<Event> scalar_events;
-  ReferenceCache reference(base_cfg, &ref_events);
-
-  CacheSim owner(base_cfg, EventRecorder(&owner_events));
-  CacheConfig cfg = base_cfg;
-  cfg.force_scalar_probe = true;
-  CacheSim scalar(cfg, EventRecorder(&scalar_events));
-  ASSERT_EQ(scalar.probe_kind(), ProbeKind::kScalar);
+  Lockstep caches(base_cfg);
+  ASSERT_EQ(caches.scalar_kind(), ProbeKind::kScalar);
 
   std::mt19937_64 rng(seed);
   for (uint64_t op = 0; op < num_ops; op++) {
@@ -222,93 +336,24 @@ void RunTrace(const CacheConfig& base_cfg, uint64_t seed, uint64_t num_ops,
     const size_t size = 1 + rng() % 256;
     const bool flag = (rng() & 1) != 0;
     if (kind < 70) {
-      const size_t expected = reference.Access(addr, size, flag);
-      // Drive the owner caches the way NvmDevice::Touch does: try the
-      // inlined resident-hit fast path first (a fast-path hit is a
-      // zero-miss access), fall back to the full path otherwise.
-      const size_t owner_missed = owner.OwnerHitFast(addr, size, flag)
-                                      ? 0
-                                      : owner.Access(addr, size, flag);
-      ASSERT_EQ(expected, owner_missed) << "op " << op;
-      const size_t scalar_missed = scalar.OwnerHitFast(addr, size, flag)
-                                       ? 0
-                                       : scalar.Access(addr, size, flag);
-      ASSERT_EQ(expected, scalar_missed) << "op " << op;
+      caches.Access(addr, size, flag);
     } else if (kind < 80) {
-      // Segmented access: the reference performs the uncoalesced adjacent
-      // calls (skipping empty segments, as the engines' `if (!empty)`
-      // guards did); each fast cache models them as ONE AccessSegments.
-      // Totals and the event sequences checked below must match —
-      // including the double visit of a line shared by two segments.
       uint32_t lens[3] = {0, 0, 0};
       const size_t nseg = 2 + rng() % 2;
-      size_t expected = 0;
-      size_t ref_lines = 0;
-      uint64_t seg_addr = addr;
       for (size_t s = 0; s < nseg; s++) {
         lens[s] = static_cast<uint32_t>(rng() % 200);  // 0-length legal
-        if (lens[s] != 0) {
-          expected += reference.Access(seg_addr, lens[s], flag);
-          ref_lines += (seg_addr + lens[s] - 1) / base_cfg.line_size -
-                       seg_addr / base_cfg.line_size + 1;
-        }
-        seg_addr += lens[s];
       }
-      const CacheAccessResult owner_r =
-          owner.AccessSegments(addr, lens, nseg, flag);
-      ASSERT_EQ(expected, owner_r.missed) << "op " << op;
-      ASSERT_EQ(ref_lines, owner_r.lines) << "op " << op;
-      const CacheAccessResult scalar_r =
-          scalar.AccessSegments(addr, lens, nseg, flag);
-      ASSERT_EQ(expected, scalar_r.missed) << "op " << op;
-      ASSERT_EQ(ref_lines, scalar_r.lines) << "op " << op;
+      caches.Segments(addr, lens, nseg, flag);
     } else if (kind < 94) {
-      const size_t expected = reference.FlushRange(addr, size, flag);
-      // Drive the owner caches the way NvmDevice::FlushLines does: the
-      // inlined single-line flush when it applies, FlushRange otherwise.
-      const int fast = owner.OwnerFlushFast(addr, size, flag);
-      const size_t owner_flushed = fast >= 0
-                                       ? static_cast<size_t>(fast)
-                                       : owner.FlushRange(addr, size, flag);
-      ASSERT_EQ(expected, owner_flushed) << "op " << op;
-      const int sfast = scalar.OwnerFlushFast(addr, size, flag);
-      const size_t scalar_flushed =
-          sfast >= 0 ? static_cast<size_t>(sfast)
-                     : scalar.FlushRange(addr, size, flag);
-      ASSERT_EQ(expected, scalar_flushed) << "op " << op;
+      caches.Flush(addr, size, flag);
     } else if (kind < 97) {
-      const size_t expected = reference.WriteBackAll();
-      ASSERT_EQ(expected, owner.WriteBackAll()) << "op " << op;
-      ASSERT_EQ(expected, scalar.WriteBackAll()) << "op " << op;
+      caches.WriteBackAll();
     } else {
-      // Crash: all cached state vanishes, nothing is written back.
-      reference.DropDirty();
-      owner.DropDirty();
-      scalar.DropDirty();
+      caches.DropDirty();
     }
-    ASSERT_EQ(ref_events.size(), owner_events.size()) << "op " << op;
-    ASSERT_EQ(ref_events.size(), scalar_events.size()) << "op " << op;
+    if (::testing::Test::HasFatalFailure()) return;
   }
-
-  for (const CacheSim* fast : {&owner, &scalar}) {
-    EXPECT_EQ(reference.hits, fast->hits());
-    EXPECT_EQ(reference.misses, fast->misses());
-    EXPECT_EQ(reference.write_backs, fast->write_backs());
-  }
-  ASSERT_EQ(ref_events.size(), owner_events.size());
-  ASSERT_EQ(ref_events.size(), scalar_events.size());
-  for (size_t i = 0; i < ref_events.size(); i++) {
-    ASSERT_TRUE(ref_events[i] == owner_events[i])
-        << "event " << i << ": ref kind " << int(ref_events[i].kind)
-        << " line " << ref_events[i].line_addr << " vs owner kind "
-        << int(owner_events[i].kind) << " line "
-        << owner_events[i].line_addr;
-    ASSERT_TRUE(ref_events[i] == scalar_events[i])
-        << "event " << i << ": ref kind " << int(ref_events[i].kind)
-        << " line " << ref_events[i].line_addr << " vs scalar kind "
-        << int(scalar_events[i].kind) << " line "
-        << scalar_events[i].line_addr;
-  }
+  caches.ExpectSameHistory();
 }
 
 // Power-of-two geometries, where the fast path's shift+mask Locate must
@@ -381,6 +426,62 @@ TEST(CacheGoldenTest, FlushWithInvalidateChurn) {
   cfg.associativity = 8;
   RunTrace(cfg, /*seed=*/11, /*num_ops=*/50000,
            /*address_space=*/256 * 1024);
+}
+
+// The line→slot memo's hard cases, in lockstep. Every access is a whole
+// 4 KB page (64 lines: the CoW page-visit shape) or a slice of one, and
+// the pages sit at the same offsets of four regions exactly one memo span
+// apart (the memo has two entries per cache line, so lines 2 x capacity
+// bytes apart share an entry): every memo entry is contested by four
+// lines that are often resident together. The pages hold twice the
+// cache, so lines are evicted and refilled into other ways; most flushes
+// invalidate (CLFLUSH), so a line is often refilled into a different way
+// than the one its memo entry still names; and crashes drop everything.
+// A memo that trusted a stale slot would hit a line the reference misses.
+TEST(CacheGoldenTest, MemoContestedPageTrace) {
+  CacheConfig cfg;
+  cfg.capacity_bytes = 64 * 1024;  // 1024 lines: 64 sets of 16 ways
+  cfg.line_size = 64;
+  cfg.associativity = 16;
+  const uint64_t kPage = 4096;
+  const uint64_t kSpan = 2 * cfg.capacity_bytes;
+  const uint64_t kPagesPerRegion = 8;
+  const uint64_t kRegions = 4;
+
+  Lockstep caches(cfg);
+  std::mt19937_64 rng(18);
+  for (uint64_t op = 0; op < 40000; op++) {
+    const uint64_t page = (rng() % kRegions) * kSpan +
+                          (rng() % kPagesPerRegion) * kPage;
+    const uint64_t kind = rng() % 100;
+    const bool write = (rng() & 1) != 0;
+    const uint64_t offset = rng() % kPage;
+    if (kind < 45) {
+      caches.Access(page, kPage, write);
+    } else if (kind < 60) {
+      caches.Access(page + offset, 1 + rng() % (kPage - offset), write);
+    } else if (kind < 70) {
+      // A page read as three adjacent segments (an engine's row parts).
+      const uint32_t first = static_cast<uint32_t>(offset);
+      const uint32_t second = static_cast<uint32_t>(rng() % (kPage - first));
+      const uint32_t lens[3] = {first, second,
+                                static_cast<uint32_t>(kPage) - first -
+                                    second};
+      caches.Segments(page, lens, 3, write);
+    } else if (kind < 85) {
+      caches.Flush(page, kPage, /*invalidate=*/true);
+    } else if (kind < 93) {
+      caches.Flush(page + offset, 1 + rng() % 128, /*invalidate=*/true);
+    } else if (kind < 97) {
+      caches.Flush(page, kPage, /*invalidate=*/false);
+    } else if (kind < 99) {
+      caches.WriteBackAll();
+    } else {
+      caches.DropDirty();
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  caches.ExpectSameHistory();
 }
 
 // The config flag must pin the scalar loop at construction time,

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -307,6 +308,41 @@ TEST_F(NvmDeviceTest, SecondCrashChangesNothing) {
   EXPECT_EQ(Load64(device_, kPageSlot), v);
   EXPECT_EQ(Load64(device_, kPageSlot + 64), 0u);
   EXPECT_EQ(Load64(device_, 6 * kPageSlot), 0u);
+}
+
+// A hot line's cache memo entry outlives the line: Crash() drops every
+// line and a CLFLUSH-mode Persist (use_clwb = false) invalidates the ones
+// it flushes, and neither resets the memo. The next Read must still pay a
+// load and no hit — for one line (the inlined single-line path) and for a
+// whole page (the multi-line loop) — so a stale memo entry never brings a
+// dropped or invalidated line back.
+TEST(NvmDeviceMemoTest, DroppedOrInvalidatedLinesMissAgain) {
+  for (const bool crash : {true, false}) {
+    for (const size_t n : {size_t{8}, size_t{4096}}) {
+      SCOPED_TRACE(std::string(crash ? "Crash" : "CLFLUSH Persist") +
+                   ", " + std::to_string(n) + " B");
+      NvmLatencyConfig latency = NvmLatencyConfig::Dram();
+      latency.use_clwb = false;
+      NvmDevice device(1 << 20, latency);
+      std::vector<uint8_t> buf(n, 0x5A);
+      device.Write(kPageSlot, buf.data(), n);
+      for (int i = 0; i < 3; i++) device.Read(kPageSlot, buf.data(), n);
+      const NvmCounters hot = device.counters();
+      device.Read(kPageSlot, buf.data(), n);
+      ASSERT_EQ(device.counters().hits - hot.hits, (n + 63) / 64);
+
+      if (crash) {
+        device.Crash();
+      } else {
+        device.Persist(kPageSlot, n);
+      }
+      const NvmCounters before = device.counters();
+      device.Read(kPageSlot, buf.data(), n);
+      const NvmCounters after = device.counters();
+      EXPECT_EQ(after.loads - before.loads, (n + 63) / 64);
+      EXPECT_EQ(after.hits - before.hits, 0u);
+    }
+  }
 }
 
 long MinorFaults() {
